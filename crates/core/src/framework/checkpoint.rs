@@ -45,7 +45,7 @@ pub enum CrawlerState {
 }
 
 /// Mutable state of a [`MakCrawler`](crate::mak::MakCrawler).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, serde::Serialize)]
 pub struct MakState {
     /// The arm policy (tagged by name, hyper-parameters included).
     pub policy: serde::Value,
@@ -62,7 +62,7 @@ pub struct MakState {
 }
 
 /// Mutable state of an [`EnsembleCrawler`](crate::mak::EnsembleCrawler).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, serde::Serialize)]
 pub struct EnsembleState {
     /// Per-agent Exp3.1 learner states, in round-robin order.
     pub policies: Vec<serde::Value>,
@@ -81,7 +81,7 @@ pub struct EnsembleState {
 }
 
 /// Mutable state of a [`QCrawler`](crate::framework::qcrawler::QCrawler).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, serde::Serialize)]
 pub struct QState {
     /// The state abstraction's kind tag (`"webexplor"` / `"qexplore"`);
     /// restore refuses a payload produced by a different abstraction.
@@ -114,19 +114,6 @@ fn rng_field(rng: &serde::Value) -> Result<Vec<u64>, serde::Error> {
     Ok(words)
 }
 
-impl serde::Serialize for MakState {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Object(vec![
-            ("policy".to_owned(), self.policy.clone()),
-            ("reward".to_owned(), self.reward.clone()),
-            ("deque".to_owned(), self.deque.clone()),
-            ("links".to_owned(), self.links.clone()),
-            ("rng".to_owned(), self.rng.to_value()),
-            ("started".to_owned(), self.started.to_value()),
-        ])
-    }
-}
-
 impl serde::Deserialize for MakState {
     fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
         let entries =
@@ -141,20 +128,6 @@ impl serde::Deserialize for MakState {
             )?,
             started: serde::__field(entries, "started")?,
         })
-    }
-}
-
-impl serde::Serialize for EnsembleState {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Object(vec![
-            ("policies".to_owned(), self.policies.to_value()),
-            ("rewards".to_owned(), self.rewards.to_value()),
-            ("next_agent".to_owned(), self.next_agent.to_value()),
-            ("deque".to_owned(), self.deque.clone()),
-            ("links".to_owned(), self.links.clone()),
-            ("rng".to_owned(), self.rng.to_value()),
-            ("started".to_owned(), self.started.to_value()),
-        ])
     }
 }
 
@@ -186,21 +159,6 @@ impl serde::Deserialize for EnsembleState {
     }
 }
 
-impl serde::Serialize for QState {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Object(vec![
-            ("abstraction".to_owned(), self.abstraction.to_value()),
-            ("states".to_owned(), self.states.clone()),
-            ("q".to_owned(), self.q.clone()),
-            ("visit_counts".to_owned(), self.visit_counts.to_value()),
-            ("links".to_owned(), self.links.clone()),
-            ("rng".to_owned(), self.rng.to_value()),
-            ("current".to_owned(), self.current.to_value()),
-            ("restarts".to_owned(), self.restarts.to_value()),
-        ])
-    }
-}
-
 impl serde::Deserialize for QState {
     fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
         let entries =
@@ -226,14 +184,32 @@ impl serde::Deserialize for QState {
     }
 }
 
+impl CrawlerState {
+    /// The family tag and its payload.
+    fn tagged(&self) -> (&'static str, &dyn serde::Serialize) {
+        match self {
+            CrawlerState::Mak(s) => ("mak", s),
+            CrawlerState::Ensemble(s) => ("ensemble", s),
+            CrawlerState::Q(s) => ("q", s),
+        }
+    }
+}
+
 impl serde::Serialize for CrawlerState {
     fn to_value(&self) -> serde::Value {
-        let (tag, payload) = match self {
-            CrawlerState::Mak(s) => ("mak", s.to_value()),
-            CrawlerState::Ensemble(s) => ("ensemble", s.to_value()),
-            CrawlerState::Q(s) => ("q", s.to_value()),
-        };
-        serde::Value::Object(vec![(tag.to_owned(), payload)])
+        let (tag, payload) = self.tagged();
+        serde::Value::Object(vec![(tag.to_owned(), payload.to_value())])
+    }
+
+    /// The same `{"tag":payload}` shape, with the payload's
+    /// pre-serialized subtrees written in place rather than cloned.
+    fn write_json(&self, out: &mut String) {
+        let (tag, payload) = self.tagged();
+        out.push('{');
+        tag.write_json(out);
+        out.push(':');
+        payload.write_json(out);
+        out.push('}');
     }
 }
 
@@ -261,7 +237,7 @@ impl serde::Deserialize for CrawlerState {
 /// [`EngineConfig`] makes the checkpoint self-describing — restoring needs
 /// only the application model (by the recorded `app` name) and a fresh
 /// crawler of the recorded `crawler` name.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, serde::Serialize)]
 pub struct SessionCheckpoint {
     /// Schema version ([`CHECKPOINT_VERSION`] at write time).
     pub version: u32,
@@ -291,26 +267,6 @@ pub struct SessionCheckpoint {
     /// span collection enabled; restoring seeds the allocator so span ids
     /// continue where they left off.
     pub spans: Option<(u64, f64)>,
-}
-
-impl serde::Serialize for SessionCheckpoint {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Object(vec![
-            ("version".to_owned(), self.version.to_value()),
-            ("app".to_owned(), self.app.to_value()),
-            ("crawler".to_owned(), self.crawler.to_value()),
-            ("seed".to_owned(), self.seed.to_value()),
-            ("config".to_owned(), self.config.to_value()),
-            ("step_index".to_owned(), self.step_index.to_value()),
-            ("done".to_owned(), self.done.to_value()),
-            ("next_sample".to_owned(), self.next_sample.to_value()),
-            ("series".to_owned(), self.series.to_value()),
-            ("trace".to_owned(), self.trace.to_value()),
-            ("browser".to_owned(), self.browser.clone()),
-            ("crawler_state".to_owned(), self.crawler_state.to_value()),
-            ("spans".to_owned(), self.spans.to_value()),
-        ])
-    }
 }
 
 impl serde::Deserialize for SessionCheckpoint {

@@ -322,14 +322,27 @@ impl EventSink for Fanout {
     }
 }
 
+/// Appends `event` to `out` as one JSONL line: compact JSON streamed
+/// through `Serialize::write_json`, then `\n`. The one encoder behind
+/// [`JsonlSink`] and [`VecSink::to_jsonl`], so standalone traces and
+/// served streams cannot drift apart byte-wise.
+fn push_jsonl_line(out: &mut String, event: &Event) {
+    serde::Serialize::write_json(event, out);
+    out.push('\n');
+}
+
 /// Writes one JSON object per line. Streams are bit-identical across
 /// reruns of the same `(app, crawler, seed, config)` because events
 /// carry only virtual-clock time.
+///
+/// Each event is encoded into a reused line buffer, so steady-state
+/// emission allocates nothing per event.
 ///
 /// I/O errors are latched (first one wins) rather than panicking
 /// mid-crawl; callers check [`JsonlSink::error`] after the run.
 pub struct JsonlSink<W: Write> {
     out: W,
+    line: String,
     lines: u64,
     error: Option<std::io::Error>,
 }
@@ -337,7 +350,7 @@ pub struct JsonlSink<W: Write> {
 impl<W: Write> JsonlSink<W> {
     /// Wraps any writer (a `BufWriter<File>`, a `Vec<u8>`, …).
     pub fn new(out: W) -> Self {
-        JsonlSink { out, lines: 0, error: None }
+        JsonlSink { out, line: String::new(), lines: 0, error: None }
     }
 
     /// Number of lines written so far.
@@ -367,9 +380,9 @@ impl<W: Write> EventSink for JsonlSink<W> {
         if self.error.is_some() {
             return;
         }
-        let line = serde_json::to_string(event).expect("Event serializes");
-        let write = self.out.write_all(line.as_bytes()).and_then(|()| self.out.write_all(b"\n"));
-        match write {
+        self.line.clear();
+        push_jsonl_line(&mut self.line, event);
+        match self.out.write_all(self.line.as_bytes()) {
             Ok(()) => self.lines += 1,
             Err(e) => self.error = Some(e),
         }
@@ -397,6 +410,19 @@ impl VecSink {
     /// Consumes the sink, returning the buffer.
     pub fn into_events(self) -> Vec<Event> {
         self.events
+    }
+
+    /// The buffered stream as JSONL bytes — exactly what a [`JsonlSink`]
+    /// would have written — in an allocation trimmed to its length, since
+    /// callers (the crawl service) hold many finished streams at once.
+    pub fn to_jsonl(&self) -> Vec<u8> {
+        let mut out = String::new();
+        for event in &self.events {
+            push_jsonl_line(&mut out, event);
+        }
+        let mut bytes = out.into_bytes();
+        bytes.shrink_to_fit();
+        bytes
     }
 }
 
@@ -472,6 +498,22 @@ mod tests {
         for line in text.lines() {
             let _: Event = serde_json::from_str(line).expect("each line parses");
         }
+    }
+
+    #[test]
+    fn vec_sink_encodes_what_jsonl_sink_writes() {
+        let mut jsonl = JsonlSink::new(Vec::new());
+        let mut buffered = VecSink::new();
+        for event in Event::samples() {
+            jsonl.on_event(&event);
+            buffered.on_event(&event);
+        }
+        let (bytes, err) = jsonl.finish();
+        assert!(err.is_none());
+        let encoded = buffered.to_jsonl();
+        assert_eq!(encoded, bytes);
+        assert_eq!(encoded.capacity(), encoded.len(), "trimmed to size");
+        assert!(VecSink::new().to_jsonl().is_empty());
     }
 
     #[test]

@@ -97,12 +97,14 @@ pub(crate) struct CheckpointHook {
     pub every_steps: u64,
 }
 
-/// A drained session: the task's bookkeeping plus its sealed report.
+/// A drained session: the task's bookkeeping plus its sealed report and,
+/// when recorded, its event stream already encoded as JSONL by the worker
+/// that finished it.
 pub(crate) struct FinishedTask {
     pub id: u64,
     pub tenant: String,
     pub report: CrawlReport,
-    pub events: Option<Arc<Mutex<VecSink>>>,
+    pub events_jsonl: Option<Vec<u8>>,
     pub slices: u64,
     pub steps: u64,
 }
@@ -466,11 +468,16 @@ fn run_slice(pool: &Pool, me: usize, mut task: SessionTask, latencies: &mut Step
         let steps = task.session.steps_taken();
         let SessionTask { id, tenant, session, events, slices, .. } = task;
         let report = session.finish();
+        // Encode here, on the worker, after the latency sample closed:
+        // the stream is final, and the serial fold after the drain then
+        // only moves bytes. The event buffer dies with `events`.
+        let events_jsonl =
+            events.map(|cell| cell.lock().unwrap_or_else(|p| p.into_inner()).to_jsonl());
         pool.done.lock().unwrap_or_else(|p| p.into_inner()).push(FinishedTask {
             id,
             tenant,
             report,
-            events,
+            events_jsonl,
             slices,
             steps,
         });

@@ -417,24 +417,11 @@ impl CrawlService {
             .map(|t| {
                 self.ledger.release(&t.tenant);
                 self.metrics.record_completed(&t.tenant, t.steps, &t.report);
-                let events_jsonl = t.events.map(|cell| {
-                    let sink = Arc::try_unwrap(cell)
-                        .expect("session finished; no other handle survives")
-                        .into_inner()
-                        .unwrap_or_else(|p| p.into_inner());
-                    let mut out = Vec::new();
-                    for event in sink.events() {
-                        let line = serde_json::to_string(event).expect("Event serializes");
-                        out.extend_from_slice(line.as_bytes());
-                        out.push(b'\n');
-                    }
-                    out
-                });
                 CompletedSession {
                     id: t.id,
                     tenant: t.tenant,
                     report: t.report,
-                    events_jsonl,
+                    events_jsonl: t.events_jsonl,
                     steps: t.steps,
                     slices: t.slices,
                 }
