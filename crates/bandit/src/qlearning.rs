@@ -11,25 +11,32 @@
 //! States and actions are identified by opaque `u64` keys, produced by the
 //! crawlers' state-abstraction and element-signature functions.
 
-use std::collections::HashMap;
+use std::collections::hash_map::RandomState;
+use std::collections::{HashMap, HashSet};
+use std::hash::BuildHasher;
 
 /// A sparse tabular Q-function with optimistic initialization.
+///
+/// `S` hashes the table's keys. The default is the std `RandomState`;
+/// crawlers pass a deterministic fast hasher ([`QTable::with_hasher`]),
+/// which is sound because nothing iterates the table in hasher order — the
+/// checkpoint form sorts its entries.
 ///
 /// # Examples
 ///
 /// ```
-/// use mak_bandit::qlearning::QTable;
+/// use mak_bandit::qlearning::{argmax, QTable};
 ///
 /// let mut q = QTable::new(0.5, 0.5, 1.0);
 /// // Executing action 7 in state 1 earned reward 0.4 and led to state 2
 /// // with actions {8, 9} available.
 /// q.bellman_update(1, 7, 0.4, 2, &[8, 9]);
 /// assert!(q.value(1, 7) < 1.0, "below the optimistic init after a mediocre reward");
-/// assert_eq!(q.best_action(2, &[8, 9]), Some(0), "fresh actions tie at the init");
+/// assert_eq!(argmax(&q.values_for(2, &[8, 9])), Some(0), "fresh actions tie at the init");
 /// ```
 #[derive(Debug, Clone)]
-pub struct QTable {
-    q: HashMap<(u64, u64), f64>,
+pub struct QTable<S = RandomState> {
+    q: HashMap<(u64, u64), f64, S>,
     /// Learning rate α.
     alpha: f64,
     /// Discount factor γ.
@@ -38,7 +45,7 @@ pub struct QTable {
     /// initialization (> 0) makes deterministic arg-max selection try every
     /// fresh action once, which both baselines rely on.
     initial: f64,
-    states: std::collections::HashSet<u64>,
+    states: HashSet<u64, S>,
 }
 
 impl QTable {
@@ -48,9 +55,20 @@ impl QTable {
     ///
     /// Panics if `alpha` is outside `(0, 1]` or `discount` outside `[0, 1)`.
     pub fn new(alpha: f64, discount: f64, initial: f64) -> Self {
+        Self::with_hasher(alpha, discount, initial)
+    }
+}
+
+impl<S: BuildHasher + Default> QTable<S> {
+    /// Creates a Q-table whose keys are hashed by `S`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `alpha` is outside `(0, 1]` or `discount` outside `[0, 1)`.
+    pub fn with_hasher(alpha: f64, discount: f64, initial: f64) -> Self {
         assert!(alpha > 0.0 && alpha <= 1.0, "alpha must be in (0, 1]");
         assert!((0.0..1.0).contains(&discount), "discount must be in [0, 1)");
-        QTable { q: HashMap::new(), alpha, discount, initial, states: Default::default() }
+        QTable { q: HashMap::default(), alpha, discount, initial, states: HashSet::default() }
     }
 
     /// The current value of `(state, action)`.
@@ -113,17 +131,6 @@ impl QTable {
         actions.iter().map(|a| self.value(state, *a)).collect()
     }
 
-    /// Index of the maximum-Q action (QExplore's deterministic
-    /// `CHOOSE_ACTION`); first index wins ties. `None` for an empty set.
-    pub fn best_action(&self, state: u64, actions: &[u64]) -> Option<usize> {
-        let values = self.values_for(state, actions);
-        values
-            .iter()
-            .enumerate()
-            .max_by(|(ia, a), (ib, b)| a.partial_cmp(b).unwrap().then(ib.cmp(ia)))
-            .map(|(i, _)| i)
-    }
-
     /// Number of distinct states ever touched by an update — the state-table
     /// size whose growth the paper's §III-A critique is about.
     pub fn state_count(&self) -> usize {
@@ -136,10 +143,25 @@ impl QTable {
     }
 }
 
+/// Index of the largest of `values`, the first one on ties; `None` when
+/// empty. Over [`QTable::values_for`], the maximum-Q action of QExplore's
+/// deterministic `CHOOSE_ACTION`.
+///
+/// # Panics
+///
+/// Panics if a value is NaN.
+pub fn argmax(values: &[f64]) -> Option<usize> {
+    values
+        .iter()
+        .enumerate()
+        .max_by(|(ia, a), (ib, b)| a.partial_cmp(b).unwrap().then(ib.cmp(ia)))
+        .map(|(i, _)| i)
+}
+
 // Checkpoint serialization. The hash map and set are emitted in sorted key
 // order so the bytes are a pure function of the table's content, never of
 // insertion history or hasher state.
-impl serde::Serialize for QTable {
+impl<S> serde::Serialize for QTable<S> {
     fn to_value(&self) -> serde::Value {
         let mut entries: Vec<((u64, u64), f64)> = self.q.iter().map(|(&k, &v)| (k, v)).collect();
         entries.sort_unstable_by_key(|&(k, _)| k);
@@ -165,7 +187,7 @@ impl serde::Serialize for QTable {
     }
 }
 
-impl serde::Deserialize for QTable {
+impl<S: BuildHasher + Default> serde::Deserialize for QTable<S> {
     fn from_value(value: &serde::Value) -> Result<Self, serde::Error> {
         let serde::Value::Object(obj) = value else {
             return Err(serde::Error::custom("expected QTable object"));
@@ -250,12 +272,12 @@ mod tests {
     }
 
     #[test]
-    fn best_action_is_argmax_with_first_tie_win() {
+    fn argmax_of_q_values_takes_the_first_maximum() {
         let mut t = table();
         t.bellman_update(1, 10, 0.0, 9, &[]);
         // action 10 now below initial; 11 and 12 tie at the optimistic value.
-        assert_eq!(t.best_action(1, &[10, 11, 12]), Some(1));
-        assert_eq!(t.best_action(1, &[]), None);
+        assert_eq!(argmax(&t.values_for(1, &[10, 11, 12])), Some(1));
+        assert_eq!(argmax(&t.values_for(1, &[])), None);
     }
 
     #[test]

@@ -8,16 +8,38 @@
 //! MAK's reward standardizes.
 
 use mak_browser::page::Page;
-use mak_intern::Interner;
+use mak_intern::{FastHashMap, Interner};
+use mak_websim::dom::DocShared;
 use mak_websim::url::Url;
+use std::sync::Arc;
 
 /// The set of distinct URLs gathered during one crawl.
 ///
 /// Backed by an [`Interner`]: probing with an already-seen URL allocates
 /// nothing, and each distinct normalized URL is stored exactly once.
+///
+/// The log also remembers which render-cached documents it has absorbed
+/// ([`DocShared::is_cached`]). Their element targets are all in `seen`
+/// already, and `seen` only grows, so absorbing one again examines only
+/// the page URL. The record is a cache, not crawl state: it is not
+/// checkpointed, and a restored log examines each document once more.
 #[derive(Debug, Default)]
 pub struct LinkLog {
     seen: Interner,
+    /// Absorbed render-cached documents, keyed by address. Holding the
+    /// `Arc` keeps the address from being reused by another document.
+    documents: FastHashMap<usize, Arc<DocShared>>,
+}
+
+/// What [`LinkLog::absorb_page`] learned from one page.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Absorbed {
+    /// URLs seen for the first time: the raw link-coverage increment `r_t`
+    /// of §IV-C.
+    pub new_urls: u64,
+    /// Whether the page's document had been absorbed before, so its
+    /// elements were skipped: every one of them was examined then.
+    pub known_document: bool,
 }
 
 impl LinkLog {
@@ -32,19 +54,27 @@ impl LinkLog {
     }
 
     /// Absorbs a fetched page: its own URL plus every same-origin element
-    /// target. Returns the number of *new* URLs — the raw link-coverage
-    /// increment `r_t` of §IV-C.
-    pub fn absorb_page(&mut self, page: &Page, origin: &Url) -> u64 {
-        let mut new = 0;
+    /// target, counting the *new* URLs. `origin` must be the same on every
+    /// call, as it is within one crawl.
+    pub fn absorb_page(&mut self, page: &Page, origin: &Url) -> Absorbed {
+        let mut new_urls = 0;
         if page.url().same_origin(origin) && self.record(page.url()) {
-            new += 1;
+            new_urls += 1;
+        }
+        let shared = page.shared();
+        let key = Arc::as_ptr(shared) as usize;
+        if shared.is_cached() && self.documents.contains_key(&key) {
+            return Absorbed { new_urls, known_document: true };
         }
         for el in page.valid_interactables(origin) {
             if self.record(el.target_url()) {
-                new += 1;
+                new_urls += 1;
             }
         }
-        new
+        if shared.is_cached() {
+            self.documents.insert(key, Arc::clone(shared));
+        }
+        Absorbed { new_urls, known_document: false }
     }
 
     /// Number of distinct URLs gathered so far.
@@ -92,7 +122,7 @@ impl serde::Deserialize for LinkLog {
                 }
             }
         }
-        Ok(LinkLog { seen: Interner::from_ordered(urls) })
+        Ok(LinkLog { seen: Interner::from_ordered(urls), documents: FastHashMap::default() })
     }
 }
 
@@ -115,8 +145,8 @@ mod tests {
         let origin: Url = "http://h/".parse().unwrap();
         let mut log = LinkLog::new();
         let p = page("http://h/a", &["/b", "/c"]);
-        assert_eq!(log.absorb_page(&p, &origin), 3);
-        assert_eq!(log.absorb_page(&p, &origin), 0, "revisit adds nothing");
+        assert_eq!(log.absorb_page(&p, &origin).new_urls, 3);
+        assert_eq!(log.absorb_page(&p, &origin).new_urls, 0, "revisit adds nothing");
         assert_eq!(log.len(), 3);
     }
 
@@ -125,7 +155,7 @@ mod tests {
         let origin: Url = "http://h/".parse().unwrap();
         let mut log = LinkLog::new();
         let p = page("http://h/a", &["http://evil.example/x", "/b"]);
-        assert_eq!(log.absorb_page(&p, &origin), 2, "page URL + /b only");
+        assert_eq!(log.absorb_page(&p, &origin).new_urls, 2, "page URL + /b only");
     }
 
     #[test]
@@ -134,8 +164,8 @@ mod tests {
         let mut log = LinkLog::new();
         let p1 = page("http://h/a", &["/x?a=1&b=2"]);
         let p2 = page("http://h/c", &["/x?b=2&a=1"]);
-        assert_eq!(log.absorb_page(&p1, &origin), 2);
-        assert_eq!(log.absorb_page(&p2, &origin), 1, "same link in another order");
+        assert_eq!(log.absorb_page(&p1, &origin).new_urls, 2);
+        assert_eq!(log.absorb_page(&p2, &origin).new_urls, 1, "same link in another order");
         assert!(!log.is_empty());
     }
 }

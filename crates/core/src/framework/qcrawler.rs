@@ -15,16 +15,17 @@ use crate::framework::checkpoint::{CrawlerState, QState};
 use crate::framework::crawler::{CrawlEnd, Crawler, StepReport};
 use crate::framework::linklog::LinkLog;
 use mak_bandit::gumbel::gumbel_softmax_sample;
-use mak_bandit::qlearning::QTable;
+use mak_bandit::qlearning::{argmax, QTable};
 use mak_browser::client::{BrowseError, Browser};
 use mak_browser::cost::CostModel;
 use mak_browser::page::Page;
+use mak_intern::{FastBuildHasher, FastHashMap};
 use mak_websim::dom::Interactable;
+use mak_websim::url::Url;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize as _, Serialize as _};
 use std::borrow::Cow;
-use std::collections::HashMap;
 
 /// `GET_STATE` of Algorithm 2: maps pages to abstract state identifiers,
 /// creating new states as needed.
@@ -104,13 +105,28 @@ impl CuriosityReward {
     }
 }
 
+/// The valid actions of `page` — its interactables whose targets stay on
+/// `origin` (§V-A ii) — each with its signature hash, read from the
+/// document's memo instead of re-hashed.
+fn keyed_actions<'p, 'o>(
+    page: &'p Page,
+    origin: &'o Url,
+) -> impl Iterator<Item = (&'p Interactable, u64)> + use<'p, 'o> {
+    let shared = &**page.shared();
+    shared
+        .interactables()
+        .iter()
+        .zip(shared.signature_hashes().iter().copied())
+        .filter(move |(el, _)| el.target_url().same_origin(origin))
+}
+
 /// A Q-learning trajectory crawler assembled from the building blocks.
 #[derive(Debug)]
 pub struct QCrawler<S> {
     name: String,
     states: S,
-    q: QTable,
-    visit_counts: HashMap<(u64, u64), u64>,
+    q: QTable<FastBuildHasher>,
+    visit_counts: FastHashMap<(u64, u64), u64>,
     selection: ActionSelection,
     update: UpdateRule,
     curiosity: CuriosityReward,
@@ -134,14 +150,14 @@ impl<S: StateAbstraction> QCrawler<S> {
         selection: ActionSelection,
         update: UpdateRule,
         curiosity: CuriosityReward,
-        q: QTable,
+        q: QTable<FastBuildHasher>,
         seed: u64,
     ) -> Self {
         QCrawler {
             name: name.into(),
             states,
             q,
-            visit_counts: HashMap::new(),
+            visit_counts: FastHashMap::default(),
             selection,
             update,
             curiosity,
@@ -156,7 +172,9 @@ impl<S: StateAbstraction> QCrawler<S> {
     /// Scales the per-decision policy overhead. QExplore's pre-processing
     /// re-hashes the attribute values of *every* interactable on each page,
     /// which is costlier than WebExplor's URL-indexed lookup; the paper's
-    /// §V-D interaction counts (854 vs 827) reflect this.
+    /// §V-D interaction counts (854 vs 827) reflect this. The cost is the
+    /// modeled tool's and is charged on the virtual clock only: this crawler
+    /// reads the hash from the document's memo.
     #[must_use]
     pub fn with_overhead_factor(mut self, factor: f64) -> Self {
         assert!(factor > 0.0, "overhead factor must be positive");
@@ -170,7 +188,7 @@ impl<S: StateAbstraction> QCrawler<S> {
     }
 
     /// The underlying Q-table.
-    pub fn q_table(&self) -> &QTable {
+    pub fn q_table(&self) -> &QTable<FastBuildHasher> {
         &self.q
     }
 
@@ -188,8 +206,7 @@ impl<S: StateAbstraction> QCrawler<S> {
                 | BrowseError::StaleElement,
             ) => return Ok(None),
         };
-        let origin = browser.origin().clone();
-        self.links.absorb_page(&page, &origin);
+        self.links.absorb_page(&page, browser.origin());
         let state = self.states.state_of(&page);
         Ok(Some((state, page)))
     }
@@ -213,8 +230,7 @@ impl<S: StateAbstraction> Crawler for QCrawler<S> {
         // GET_ACTIONS: the interactable elements of the current page. The
         // actions borrow the page snapshot — nothing on this hot path clones
         // an element.
-        let origin = browser.origin().clone();
-        if page.valid_interactables(&origin).next().is_none() {
+        if page.valid_interactables(browser.origin()).next().is_none() {
             // Dead end (e.g. a body-less error response): restart.
             self.restarts += 1;
             let Some((s, p)) = self.open_seed(browser)? else {
@@ -223,11 +239,11 @@ impl<S: StateAbstraction> Crawler for QCrawler<S> {
             state = s;
             page = p;
         }
-        let actions: Vec<&Interactable> = page.valid_interactables(&origin).collect();
+        let (actions, action_keys): (Vec<&Interactable>, Vec<u64>) =
+            keyed_actions(&page, browser.origin()).unzip();
         if actions.is_empty() {
             return Err(CrawlEnd::Stuck);
         }
-        let action_keys: Vec<u64> = actions.iter().map(|a| a.signature_hash()).collect();
 
         // CHOOSE_ACTION.
         let values = self.q.values_for(state, &action_keys);
@@ -235,9 +251,7 @@ impl<S: StateAbstraction> Crawler for QCrawler<S> {
             ActionSelection::GumbelSoftmax { temperature } => {
                 gumbel_softmax_sample(&mut self.rng, &values, temperature)
             }
-            ActionSelection::MaxQ => {
-                self.q.best_action(state, &action_keys).expect("non-empty actions")
-            }
+            ActionSelection::MaxQ => argmax(&values).expect("non-empty actions"),
         };
         let chosen = actions[idx];
         let chosen_key = action_keys[idx];
@@ -271,10 +285,11 @@ impl<S: StateAbstraction> Crawler for QCrawler<S> {
         };
 
         // GET_STATE (s') and GET_REWARD: curiosity over (s, a) visits.
-        self.links.absorb_page(&next_page, &origin);
+        let origin = browser.origin();
+        self.links.absorb_page(&next_page, origin);
         let next_state = self.states.state_of(&next_page);
         let next_actions: Vec<u64> =
-            next_page.valid_interactables(&origin).map(Interactable::signature_hash).collect();
+            keyed_actions(&next_page, origin).map(|(_, key)| key).collect();
         let visits = self.visit_counts.entry((state, chosen_key)).or_insert(0);
         *visits += 1;
         let reward = self.curiosity.value(*visits);

@@ -549,7 +549,7 @@ impl<'c> Session<'c> {
         let host = self.browser.finish();
         let tracker = host.tracker();
         let covered_lines: Vec<(u32, u32)> =
-            tracker.covered_lines().map(|(f, l)| (f.index(), l)).collect();
+            tracker.covered_lines().into_iter().map(|(f, l)| (f.index(), l)).collect();
 
         CrawlReport {
             crawler: self.crawler.get_ref().name().to_owned(),

@@ -10,6 +10,7 @@ use mak_browser::client::{BrowseError, Browser};
 use mak_browser::page::Page;
 use mak_obs::event::Event;
 use mak_obs::sink::SinkHandle;
+use mak_websim::url::Url;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize as _, Serialize as _};
@@ -136,17 +137,6 @@ impl MakCrawler {
         &mut self.policy
     }
 
-    /// Absorbs a fetched page: counts new URLs (the raw reward increment)
-    /// and enqueues newly discovered same-origin elements at level 0.
-    fn ingest(&mut self, page: &Page, browser: &Browser) -> u64 {
-        let origin = browser.origin();
-        let increment = self.links.absorb_page(page, origin);
-        for el in page.valid_interactables(origin) {
-            self.deque.push_new(el);
-        }
-        increment
-    }
-
     /// Opens the seed page if not yet started. `Ok(false)` means a
     /// transient fault spoiled the seed fetch: the failed attempt's time
     /// is already charged, and the next step retries.
@@ -166,7 +156,7 @@ impl MakCrawler {
         };
         // The seed page's links seed both the pool and the link log; they
         // predate any action, so no reward is granted for them.
-        self.ingest(&page, browser);
+        ingest(&mut self.links, &mut self.deque, &page, browser.origin());
         self.started = true;
         Ok(true)
     }
@@ -178,6 +168,25 @@ impl MakCrawler {
             RewardKind::Curiosity => 1.0 / (level as f64 + 1.0),
         }
     }
+}
+
+/// Absorbs a fetched page: counts new URLs (the raw reward increment) and
+/// enqueues newly discovered same-origin elements at level 0. The elements
+/// of a document the log has absorbed before were all pushed then, and the
+/// pool's dedup table only grows, so they are not pushed again.
+pub(crate) fn ingest(
+    links: &mut LinkLog,
+    deque: &mut LeveledDeque,
+    page: &Page,
+    origin: &Url,
+) -> u64 {
+    let absorbed = links.absorb_page(page, origin);
+    if !absorbed.known_document {
+        for el in page.valid_interactables(origin) {
+            deque.push_new(el);
+        }
+    }
+    absorbed.new_urls
 }
 
 impl Crawler for MakCrawler {
@@ -240,7 +249,7 @@ impl Crawler for MakCrawler {
             }
         };
 
-        let increment = self.ingest(&page, browser);
+        let increment = ingest(&mut self.links, &mut self.deque, &page, browser.origin());
         let reward = self.compute_reward(increment, level);
         if self.fixed_arm.is_none() {
             self.policy.update(arm.index(), reward);

@@ -38,7 +38,7 @@ pub fn qexplore(seed: u64) -> QCrawler<QExploreState> {
         // Deterministic arg-max relies on the optimistic init to drive
         // exploration: with γ = 0.2, first-use reward 0.5 and the ≤ 0.2
         // action-count bonus, used actions peak around 0.88 < 0.9.
-        mak_bandit::qlearning::QTable::new(0.5, 0.2, 0.9),
+        mak_bandit::qlearning::QTable::with_hasher(0.5, 0.2, 0.9),
         seed,
     )
     // Hashing every element's attribute values per page costs more than

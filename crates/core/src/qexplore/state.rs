@@ -2,8 +2,7 @@
 
 use crate::framework::qcrawler::StateAbstraction;
 use mak_browser::page::Page;
-use mak_websim::util::hash_str;
-use std::collections::HashMap;
+use mak_intern::FastHashMap;
 
 /// QExplore abstracts a page into "a sequence of attribute values of the
 /// interactable elements of the page", then compares "the hash of the
@@ -11,13 +10,13 @@ use std::collections::HashMap;
 /// are the same state; any change in the element list — including a single
 /// appended broken link — is a brand-new state, which is the unbounded
 /// state-explosion failure of Fig. 1 (bottom).
+///
+/// The hash of a page's representation is a property of its document
+/// ([`DocShared::attribute_hash`](mak_websim::dom::DocShared::attribute_hash)),
+/// derived once per document rather than on every step.
 #[derive(Debug, Default)]
 pub struct QExploreState {
-    by_hash: HashMap<u64, u64>,
-    /// Reusable representation buffer: the abstraction re-serializes every
-    /// interactable on every step, so the buffer is cleared and refilled
-    /// instead of reallocated (same bytes, same hash).
-    repr: String,
+    by_hash: FastHashMap<u64, u64>,
 }
 
 impl QExploreState {
@@ -29,12 +28,7 @@ impl QExploreState {
 
 impl StateAbstraction for QExploreState {
     fn state_of(&mut self, page: &Page) -> u64 {
-        self.repr.clear();
-        for el in page.interactables() {
-            el.write_attribute_values(&mut self.repr);
-            self.repr.push('\n');
-        }
-        let hash = hash_str(&self.repr);
+        let hash = page.shared().attribute_hash();
         let next_id = self.by_hash.len() as u64;
         *self.by_hash.entry(hash).or_insert(next_id)
     }
@@ -65,12 +59,11 @@ impl StateAbstraction for QExploreState {
             }
             seen_ids[id as usize] = true;
         }
-        let by_hash: HashMap<u64, u64> = pairs.into_iter().collect();
+        let by_hash: FastHashMap<u64, u64> = pairs.into_iter().collect();
         if by_hash.len() as u64 != len {
             return Err(serde::Error::custom("duplicate hash in QExplore state table"));
         }
         self.by_hash = by_hash;
-        self.repr.clear();
         Ok(())
     }
 }

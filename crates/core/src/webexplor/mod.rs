@@ -43,7 +43,7 @@ pub fn webexplor(seed: u64) -> QCrawler<WebExplorState> {
         // γ = 0.2 with first-use reward 1/√2 puts the reachable Q ceiling at
         // ≈ 0.88; the optimistic init 0.9 therefore stays strictly above
         // every used action, so Gumbel-softmax keeps favoring fresh ones.
-        mak_bandit::qlearning::QTable::new(0.5, 0.2, 0.9),
+        mak_bandit::qlearning::QTable::with_hasher(0.5, 0.2, 0.9),
         seed,
     )
 }

@@ -2,9 +2,9 @@
 
 use crate::framework::qcrawler::StateAbstraction;
 use mak_browser::page::Page;
+use mak_intern::FastHashMap;
 use mak_websim::dom::{DocShared, Tag};
 use serde::Serialize as _;
-use std::collections::HashMap;
 use std::fmt::Write;
 use std::sync::Arc;
 
@@ -31,7 +31,7 @@ struct StateEntry {
 #[derive(Debug, Default)]
 pub struct WebExplorState {
     entries: Vec<StateEntry>,
-    by_url: HashMap<String, Vec<usize>>,
+    by_url: FastHashMap<String, Vec<usize>>,
     /// Reusable key buffer: the exact (non-normalized) URL string is
     /// rebuilt here each lookup, so the hit path allocates nothing.
     url_key: String,
@@ -125,7 +125,7 @@ impl StateAbstraction for WebExplorState {
             }
         };
         let mut entries = Vec::with_capacity(items.len());
-        let mut by_url: HashMap<String, Vec<usize>> = HashMap::new();
+        let mut by_url: FastHashMap<String, Vec<usize>> = FastHashMap::default();
         for (idx, item) in items.iter().enumerate() {
             let obj = item
                 .as_object()

@@ -21,8 +21,88 @@
 //! ([`Interner::from_ordered`]), which re-derives identical ids. Nothing
 //! ever iterates the internal `HashMap`, so its iteration order cannot leak
 //! into results.
+//!
+//! # Fast hashing
+//!
+//! [`FastHasher`] is the unkeyed hasher of the crawl loop's per-crawl lookup
+//! tables (this interner, visit counters, state tables). Their keys come
+//! from the built-in app models rather than from an adversary, and no
+//! result path iterates them, so SipHash's flooding resistance and random
+//! seeding buy nothing there.
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
+
+/// An FxHash-style hasher: each 8-byte word is folded in with one rotate,
+/// xor and multiply. Deterministic (no per-process key) and cheaper than
+/// the std `SipHash` on the short keys of the crawl loop.
+///
+/// `finish` rotates the state so that the well-mixed high bits of the last
+/// multiply land in the low bits the hash table indexes buckets by; keys
+/// with zero low bits (aligned addresses) still spread over all buckets.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct FastHasher {
+    hash: u64,
+}
+
+/// The multiplier of FxHash: `2^64 / π`, rounded up to odd.
+const SEED: u64 = 0x517c_c1b7_2722_0a95;
+
+impl FastHasher {
+    #[inline]
+    fn add(&mut self, word: u64) {
+        self.hash = (self.hash.rotate_left(5) ^ word).wrapping_mul(SEED);
+    }
+}
+
+impl Hasher for FastHasher {
+    #[inline]
+    fn write(&mut self, bytes: &[u8]) {
+        let mut words = bytes.chunks_exact(8);
+        for word in &mut words {
+            self.add(u64::from_le_bytes(word.try_into().expect("8-byte chunk")));
+        }
+        // The tail is folded as one zero-padded word tagged with its length,
+        // so inputs that differ only in trailing zero bytes stay distinct.
+        let tail = words.remainder();
+        if !tail.is_empty() {
+            let mut word = [0u8; 8];
+            word[..tail.len()].copy_from_slice(tail);
+            self.add(u64::from_le_bytes(word) ^ ((tail.len() as u64) << 59));
+        }
+    }
+
+    #[inline]
+    fn write_u8(&mut self, i: u8) {
+        self.add(u64::from(i));
+    }
+
+    #[inline]
+    fn write_u32(&mut self, i: u32) {
+        self.add(u64::from(i));
+    }
+
+    #[inline]
+    fn write_u64(&mut self, i: u64) {
+        self.add(i);
+    }
+
+    #[inline]
+    fn write_usize(&mut self, i: usize) {
+        self.add(i as u64);
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.hash.rotate_left(26)
+    }
+}
+
+/// `BuildHasher` for [`FastHasher`]: the `S` parameter of fast tables.
+pub type FastBuildHasher = BuildHasherDefault<FastHasher>;
+
+/// A `HashMap` keyed through [`FastHasher`].
+pub type FastHashMap<K, V> = HashMap<K, V, FastBuildHasher>;
 
 /// A dense handle to an interned string.
 ///
@@ -60,7 +140,7 @@ pub struct Interner {
     /// Lookup table. Keys duplicate `strings` entries; the duplication buys
     /// a fully safe implementation and the tables here stay small (one
     /// entry per *distinct* URL or signature, not per step).
-    map: HashMap<Box<str>, Symbol>,
+    map: FastHashMap<Box<str>, Symbol>,
     /// Interned strings in insertion order; `strings[sym.index()]` resolves.
     strings: Vec<Box<str>>,
     /// Total bytes of distinct interned text (one copy), for diagnostics.
@@ -236,6 +316,18 @@ mod tests {
         let mut b = Interner::new();
         let ids_b: Vec<u32> = seq.iter().map(|s| b.intern(s).index()).collect();
         assert_eq!(ids_a, ids_b);
+    }
+
+    #[test]
+    fn fast_hasher_is_unkeyed_and_separates_tails() {
+        use std::hash::BuildHasher;
+        let hash = |s: &str| FastBuildHasher::default().hash_one(s);
+        // No per-process or per-instance key: equal inputs, equal hashes.
+        assert_eq!(hash("link:http://h/a"), hash("link:http://h/a"));
+        // Every tail length, and tails that differ only in zero bytes.
+        let inputs = ["", "a", "a\0", "abcdefg", "abcdefgh", "abcdefgh\0", "abcdefghi"];
+        let distinct: std::collections::BTreeSet<u64> = inputs.iter().map(|s| hash(s)).collect();
+        assert_eq!(distinct.len(), inputs.len());
     }
 
     #[test]

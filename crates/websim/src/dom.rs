@@ -13,6 +13,7 @@
 
 use crate::url::Url;
 use std::fmt;
+use std::sync::OnceLock;
 
 /// HTML tag names used by the simulated applications.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -517,23 +518,45 @@ impl serde::Deserialize for Interactable {
 /// otherwise: the extracted interactables and the pre-order tag sequence.
 /// Shared (via `Arc`) between a cached document and every page served from
 /// it, so re-serving a static page costs no tree walk.
+///
+/// The page keys crawlers derive from these — each interactable's
+/// [`signature_hash`](Interactable::signature_hash) and QExplore's
+/// [`attribute_hash`](Self::attribute_hash) — are memoized here on first
+/// use, so every session served the same cached document derives them once
+/// per process. Only pure functions of the interactables and tags belong
+/// here; nothing that depends on crawl state (origin, visits, tables).
 #[derive(Debug)]
 pub struct DocShared {
     interactables: Vec<Interactable>,
     tags: Vec<Tag>,
+    /// Whether this belongs to a render-cached document
+    /// ([`Document::with_shared_cache`]) rather than to one page.
+    cached: bool,
+    signature_hashes: OnceLock<Box<[u64]>>,
+    attribute_hash: OnceLock<u64>,
 }
 
 impl DocShared {
+    fn new(interactables: Vec<Interactable>, tags: Vec<Tag>, cached: bool) -> Self {
+        DocShared {
+            interactables,
+            tags,
+            cached,
+            signature_hashes: OnceLock::new(),
+            attribute_hash: OnceLock::new(),
+        }
+    }
+
     /// The shared derivations of a body-less page: no elements, no tags.
     pub fn empty() -> Self {
-        DocShared { interactables: Vec::new(), tags: Vec::new() }
+        DocShared::new(Vec::new(), Vec::new(), false)
     }
 
     /// Rebuilds the derivations from checkpointed parts. Restored pages
     /// carry no DOM tree — only these derivations, which are the sole page
     /// observables the crawlers consume mid-run.
     pub fn from_parts(interactables: Vec<Interactable>, tags: Vec<Tag>) -> Self {
-        DocShared { interactables, tags }
+        DocShared::new(interactables, tags, false)
     }
 
     /// The extracted interactable elements, in document order.
@@ -544,6 +567,35 @@ impl DocShared {
     /// The pre-order tag sequence.
     pub fn tags(&self) -> &[Tag] {
         &self.tags
+    }
+
+    /// Whether these derivations belong to a render-cached document, i.e.
+    /// are shared by every page served from it. The same `Arc` coming back
+    /// means the same elements; per-request documents are never reused.
+    pub fn is_cached(&self) -> bool {
+        self.cached
+    }
+
+    /// `interactables()[i].signature_hash()` for every `i`, computed once.
+    pub fn signature_hashes(&self) -> &[u64] {
+        self.signature_hashes
+            .get_or_init(|| self.interactables.iter().map(Interactable::signature_hash).collect())
+    }
+
+    /// QExplore's state hash (§III-A), computed once: [`hash_str`] of the
+    /// [attribute values](Interactable::attribute_values) of every
+    /// interactable, each followed by a newline.
+    ///
+    /// [`hash_str`]: crate::util::hash_str
+    pub fn attribute_hash(&self) -> u64 {
+        *self.attribute_hash.get_or_init(|| {
+            let mut repr = String::new();
+            for el in &self.interactables {
+                el.write_attribute_values(&mut repr);
+                repr.push('\n');
+            }
+            crate::util::hash_str(&repr)
+        })
     }
 }
 
@@ -586,7 +638,7 @@ impl Document {
     /// reuses them instead of re-walking the tree.
     #[must_use]
     pub fn with_shared_cache(mut self) -> Self {
-        let shared = DocShared { interactables: self.interactables(), tags: self.tag_sequence() };
+        let shared = DocShared::new(self.interactables(), self.tag_sequence(), true);
         self.shared = Some(std::sync::Arc::new(shared));
         self
     }
@@ -595,10 +647,11 @@ impl Document {
     pub fn shared_cache(&self) -> std::sync::Arc<DocShared> {
         match &self.shared {
             Some(s) => std::sync::Arc::clone(s),
-            None => std::sync::Arc::new(DocShared {
-                interactables: self.interactables(),
-                tags: self.tag_sequence(),
-            }),
+            None => std::sync::Arc::new(DocShared::new(
+                self.interactables(),
+                self.tag_sequence(),
+                false,
+            )),
         }
     }
 

@@ -110,6 +110,8 @@ impl std::ops::Deref for AppRef {
 /// hosts; everything mutable (coverage, sessions, counters) is per-host.
 pub struct AppHost {
     app: AppRef,
+    /// The app's seed URL, built once: requests off its origin get `404`.
+    origin: Url,
     tracker: CoverageTracker,
     sessions: SessionStore,
     requests: u64,
@@ -144,6 +146,7 @@ impl AppHost {
     fn from_ref(app: AppRef) -> Self {
         let tracker = CoverageTracker::new(app.code_model(), app.coverage_mode());
         AppHost {
+            origin: app.seed_url(),
             app,
             tracker,
             sessions: SessionStore::new(),
@@ -172,7 +175,7 @@ impl AppHost {
     /// hosts exactly one application, like the paper's per-app testbeds.
     pub fn fetch(&mut self, req: &Request) -> Response {
         self.requests += 1;
-        if !req.url.same_origin(&self.app.seed_url()) {
+        if !req.url.same_origin(&self.origin) {
             return Response::not_found();
         }
         let lines_before =
@@ -247,6 +250,7 @@ impl AppHost {
     ) -> Result<Self, serde::Error> {
         let sessions = SessionStore::from_value(&state.sessions)?;
         Ok(AppHost {
+            origin: app.seed_url(),
             app: AppRef::Shared(app),
             tracker: state.tracker.clone(),
             sessions,
@@ -263,6 +267,7 @@ impl AppHost {
     pub fn restore_owned(app: Box<dyn WebApp>, state: &HostState) -> Result<Self, serde::Error> {
         let sessions = SessionStore::from_value(&state.sessions)?;
         Ok(AppHost {
+            origin: app.seed_url(),
             app: AppRef::Owned(app),
             tracker: state.tracker.clone(),
             sessions,
