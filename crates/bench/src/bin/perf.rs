@@ -5,113 +5,22 @@
 //! is "not merely due to more frequent interactions but rather to a more
 //! effective selection of elements".
 //!
-//! Besides the paper table, this binary profiles the harness itself into
-//! `results/BENCH_perf.json`: per-cell wall-clock milliseconds and
-//! steps/second (from the `CellFinished` event stream of
-//! [`run_matrix_cached_observed`]), the session cache hit rate, and a
-//! virtual-budget profile of one instrumented `phpbb2`/`mak` run
-//! (per-bucket time attribution and peak deque depth, from an
-//! [`Aggregator`] sink).
+//! Besides the paper table, this binary folds the same runs' virtual-time
+//! phase breakdowns into per-app totals and writes them to
+//! `results/BENCH_perf.json` ([`PerfPhaseView`]), which `regress` holds to
+//! the blessed per-phase share ceilings. Wall-clock cost is the repository
+//! benchmark's job (`benchmark/`), not this binary's.
 
-use mak::framework::engine::run_crawl_with_sink;
-use mak::spec::{build_crawler, RL_CRAWLERS};
-use mak_bench::{engine_config, matrix, seeds, store, threads, write_result, write_summaries};
-use mak_metrics::experiment::run_matrix_cached_observed;
+use mak::spec::RL_CRAWLERS;
+use mak_bench::phase::{AppPhases, PerfPhaseView};
+use mak_bench::{budget_minutes, matrix, seeds, store, threads, write_result, write_summaries};
+use mak_metrics::experiment::run_matrix_cached;
 use mak_metrics::report::{markdown_table, RunSummary};
 use mak_metrics::stats::{mean, sample_std};
-use mak_obs::aggregate::Aggregator;
-use mak_obs::event::Event;
-use mak_obs::sink::{SharedSink, SinkHandle, VecSink};
 use mak_obs::span::PhaseTotals;
 use mak_websim::apps;
-use serde::Serialize;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-
-/// One matrix cell's harness cost, from its `CellFinished` event.
-#[derive(Debug, Serialize)]
-struct PerfCell {
-    app: String,
-    crawler: String,
-    seed: u64,
-    /// Wall-clock cost of producing the cell (cache hits are ~free).
-    wall_ms: f64,
-    virtual_secs: f64,
-    interactions: u64,
-    /// Interactions per wall-clock second — the harness throughput.
-    steps_per_sec: f64,
-    cached: bool,
-    /// Where the cell's *virtual* time went (from the `CrawlReport`, so
-    /// cache hits keep their breakdown); the buckets sum to
-    /// `virtual_secs` within float noise.
-    phase: PhaseTotals,
-}
-
-/// Session cache totals for the matrix pass.
-#[derive(Debug, Serialize)]
-struct PerfCache {
-    hits: u64,
-    misses: u64,
-    hit_rate: f64,
-}
-
-/// Virtual-budget attribution of one instrumented run.
-#[derive(Debug, Serialize)]
-struct PerfProfile {
-    app: String,
-    crawler: String,
-    seed: u64,
-    steps: u64,
-    peak_deque: u64,
-    epoch_advances: u64,
-    fetch_ms: f64,
-    think_ms: f64,
-    interact_ms: f64,
-    policy_ms: f64,
-    steps_per_virtual_sec: f64,
-}
-
-/// Per-app phase totals folded over every crawler and seed — the
-/// denominator of the blessed per-phase share ceilings `regress` gates.
-#[derive(Debug, Serialize)]
-struct AppPhases {
-    app: String,
-    phase: PhaseTotals,
-}
-
-/// The `results/BENCH_perf.json` document.
-#[derive(Debug, Serialize)]
-struct PerfReport {
-    budget_minutes: f64,
-    seeds: u64,
-    threads: u64,
-    cells: Vec<PerfCell>,
-    cache: PerfCache,
-    profile: PerfProfile,
-    /// Per-app virtual-time phase breakdown, summed over the matrix.
-    phase_by_app: Vec<AppPhases>,
-}
-
-fn profile_run() -> PerfProfile {
-    let (sink, cell) = SinkHandle::shared(Aggregator::new());
-    let mut crawler = build_crawler("mak", 0).expect("mak is a known crawler");
-    let app = apps::build("phpbb2").expect("phpbb2 is a known app");
-    run_crawl_with_sink(&mut *crawler, app, &engine_config(), 0, &sink);
-    let agg = cell.lock().unwrap();
-    PerfProfile {
-        app: agg.app.clone(),
-        crawler: agg.crawler.clone(),
-        seed: agg.seed,
-        steps: agg.steps,
-        peak_deque: agg.deque_peak,
-        epoch_advances: agg.epoch_advances,
-        fetch_ms: agg.profile.fetch_ms,
-        think_ms: agg.profile.think_ms,
-        interact_ms: agg.profile.interact_ms,
-        policy_ms: agg.profile.policy_ms,
-        steps_per_virtual_sec: agg.steps_per_virtual_sec(),
-    }
-}
 
 fn main() {
     let all = apps::all_names();
@@ -124,9 +33,7 @@ fn main() {
         seeds(),
         threads()
     );
-    let store = store();
-    let (cell_sink, cells_collected) = SharedSink::shared(VecSink::new());
-    let reports = run_matrix_cached_observed(&m, threads(), &store, &cell_sink);
+    let reports = run_matrix_cached(&m, threads(), &store());
 
     let mut rows = Vec::new();
     for crawler in RL_CRAWLERS {
@@ -166,74 +73,20 @@ fn main() {
     let summaries: Vec<RunSummary> = reports.iter().map(RunSummary::from).collect();
     write_summaries("perf_runs.json", &summaries);
 
-    // Harness-profiling artifact. Cell order follows the worker schedule,
-    // so sort for a stable layout (the wall-clock values themselves are
-    // inherently run-dependent). Phase breakdowns come from the reports
-    // (deterministic and cached), keyed per cell.
-    let report_phases: BTreeMap<(&str, &str, u64), PhaseTotals> =
-        reports.iter().map(|r| ((r.app.as_str(), r.crawler.as_str(), r.seed), r.phase)).collect();
-    let mut cells: Vec<PerfCell> = cells_collected
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-        .events()
-        .iter()
-        .filter_map(|event| match event {
-            Event::CellFinished {
-                app,
-                crawler,
-                seed,
-                wall_ms,
-                virtual_secs,
-                interactions,
-                cached,
-            } => Some(PerfCell {
-                app: app.clone(),
-                crawler: crawler.clone(),
-                seed: *seed,
-                wall_ms: *wall_ms,
-                virtual_secs: *virtual_secs,
-                interactions: *interactions,
-                steps_per_sec: if *wall_ms > 0.0 {
-                    *interactions as f64 / (*wall_ms / 1000.0)
-                } else {
-                    0.0
-                },
-                cached: *cached,
-                phase: report_phases
-                    .get(&(app.as_str(), crawler.as_str(), *seed))
-                    .copied()
-                    .unwrap_or_default(),
-            }),
-            _ => None,
-        })
-        .collect();
-    cells.sort_by(|a, b| (&a.app, &a.crawler, a.seed).cmp(&(&b.app, &b.crawler, b.seed)));
     let mut phase_by_app: BTreeMap<&str, PhaseTotals> = BTreeMap::new();
     for report in &reports {
         phase_by_app.entry(report.app.as_str()).or_default().add(&report.phase);
     }
-    let phase_by_app: Vec<AppPhases> = phase_by_app
-        .into_iter()
-        .map(|(app, phase)| AppPhases { app: app.to_owned(), phase })
-        .collect();
-    let hits = store.session_hits();
-    let misses = store.session_misses();
-    let looked_up = hits + misses;
-    let perf = PerfReport {
-        budget_minutes: mak_bench::budget_minutes(),
+    let view = PerfPhaseView {
+        budget_minutes: budget_minutes(),
         seeds: seeds(),
-        threads: threads() as u64,
-        cells,
-        cache: PerfCache {
-            hits,
-            misses,
-            hit_rate: if looked_up == 0 { 0.0 } else { hits as f64 / looked_up as f64 },
-        },
-        profile: profile_run(),
-        phase_by_app,
+        phase_by_app: phase_by_app
+            .into_iter()
+            .map(|(app, phase)| AppPhases { app: app.to_owned(), phase })
+            .collect(),
     };
     write_result(
         "BENCH_perf.json",
-        &serde_json::to_string_pretty(&perf).expect("perf report serializes"),
+        &serde_json::to_string_pretty(&view).expect("phase breakdown serializes"),
     );
 }

@@ -20,26 +20,17 @@
 //! fractional tolerance (apps whose cells all came from the cache are
 //! skipped: cached cells carry no wall-clock signal).
 //!
-//! The gate also covers the **serving layer**: `results/BENCH_serve.json`
-//! (written by the `serve` binary) is checked against the blessed SLOs in
-//! `results/serve_slo.json` — sessions/hour floor, p99 step-latency
-//! ceiling, zero aborted sessions (see [`mak_bench::slo`]). `--bless`
-//! re-blesses the SLOs alongside the coverage baselines; the gate skips
-//! with a note when the serve report is absent, and `MAK_SERVE_SLO=off`
-//! disables it outright.
-//!
-//! Finally, the **per-phase share gate**: the per-app virtual-time phase
-//! breakdown in `results/BENCH_perf.json` (written by the `perf` binary)
-//! is held to the blessed share ceilings in `results/phase_gate.json`
-//! (see [`mak_bench::phase`]). `--bless` re-derives the ceilings, the
-//! gate skips with a note when either file is absent, and
-//! `MAK_PHASE_GATE=off` disables it.
+//! The gate also holds the **per-phase shares**: the per-app virtual-time
+//! phase breakdown in `results/BENCH_perf.json` (written by the `perf`
+//! binary) is checked against the blessed share ceilings in
+//! `results/phase_gate.json` (see [`mak_bench::phase`]). `--bless`
+//! re-derives the ceilings alongside the coverage baselines, and the
+//! phase half skips with a note when either file is absent.
 
 use mak::framework::engine::EngineConfig;
 use mak::spec::CRAWLER_NAMES;
 use mak_bench::gate::{compare, measure, Baselines, CellResult, GateConfig, Tolerances};
 use mak_bench::phase::{PerfPhaseView, PhaseGate};
-use mak_bench::slo::{ServeReport, ServeSlo};
 use mak_bench::{results_dir, store, threads, write_result};
 use mak_metrics::experiment::{run_matrix_cached_observed, RunMatrix};
 use mak_obs::sink::{SharedSink, VecSink};
@@ -57,87 +48,13 @@ fn gate_budget_minutes() -> f64 {
     std::env::var("MAK_BUDGET_MINUTES").ok().and_then(|s| s.parse().ok()).unwrap_or(5.0)
 }
 
-/// The serving-layer half of the gate. With `bless`, derives and writes
-/// `results/serve_slo.json` from the current serve report. Without,
-/// returns the SLO findings (empty = pass). A missing report or missing
-/// blessed SLOs skip with a note; an unparseable file is an `Err` — a
-/// corrupt artifact must fail loudly, not silently widen the gate.
-fn serve_slo_gate(bless: bool) -> Result<Vec<String>, String> {
-    if std::env::var("MAK_SERVE_SLO").map(|v| v == "off").unwrap_or(false) {
-        println!("serve SLO gate skipped (MAK_SERVE_SLO=off)");
-        return Ok(Vec::new());
-    }
-    let report_path = results_dir().join("BENCH_serve.json");
-    let text = match std::fs::read_to_string(&report_path) {
-        Ok(t) => t,
-        Err(_) => {
-            println!(
-                "serve SLO gate skipped: {} absent (generate with: \
-                 cargo run --release -p mak-bench --bin serve)",
-                report_path.display()
-            );
-            return Ok(Vec::new());
-        }
-    };
-    let report: ServeReport = serde_json::from_str(&text)
-        .map_err(|e| format!("{} is not a valid serve report: {e}", report_path.display()))?;
-
-    if bless {
-        let slo = ServeSlo::bless(&report);
-        write_result(
-            "serve_slo.json",
-            &serde_json::to_string_pretty(&slo).expect("serve SLOs serialize"),
-        );
-        println!(
-            "blessed serve SLOs: floor {:.0} sessions/hour, p99 ceiling {} ns, 0 aborts \
-             ({} sessions x {} min)",
-            slo.sessions_per_hour_floor,
-            slo.p99_step_ns_ceiling,
-            slo.blessed_sessions,
-            slo.blessed_budget_minutes
-        );
-        return Ok(Vec::new());
-    }
-
-    let slo_path = results_dir().join("serve_slo.json");
-    let slo_text = match std::fs::read_to_string(&slo_path) {
-        Ok(t) => t,
-        Err(_) => {
-            println!(
-                "serve SLO gate skipped: {} absent (bless with: \
-                 cargo run --release -p mak-bench --bin regress -- --bless)",
-                slo_path.display()
-            );
-            return Ok(Vec::new());
-        }
-    };
-    let slo: ServeSlo = serde_json::from_str(&slo_text)
-        .map_err(|e| format!("{} is not a valid serve SLO file: {e}", slo_path.display()))?;
-    let findings = slo.check(&report);
-    if findings.is_empty() {
-        println!(
-            "serve SLO gate passed: {:.0} sessions/hour >= {:.0}, \
-             p99 {} ns <= {} ns, {} aborted",
-            report.sessions_per_hour,
-            slo.sessions_per_hour_floor,
-            report.p99_step_ns,
-            slo.p99_step_ns_ceiling,
-            report.aborted
-        );
-    }
-    Ok(findings)
-}
-
 /// The per-phase half of the gate. With `bless`, derives and writes
 /// `results/phase_gate.json` from the current perf report's per-app
 /// phase breakdown. Without, returns the share findings (empty = pass).
-/// Mirrors [`serve_slo_gate`]: missing files skip with a note, corrupt
-/// files are an `Err`, `MAK_PHASE_GATE=off` disables.
+/// A missing report or missing blessed ceilings skip with a note; an
+/// unparseable file is an `Err` — a corrupt artifact must fail loudly,
+/// not silently widen the gate.
 fn phase_gate(bless: bool) -> Result<Vec<String>, String> {
-    if std::env::var("MAK_PHASE_GATE").map(|v| v == "off").unwrap_or(false) {
-        println!("phase gate skipped (MAK_PHASE_GATE=off)");
-        return Ok(Vec::new());
-    }
     let report_path = results_dir().join("BENCH_perf.json");
     let text = match std::fs::read_to_string(&report_path) {
         Ok(t) => t,
@@ -250,10 +167,6 @@ fn main() -> ExitCode {
             base.config.seeds,
             base.config.budget_minutes
         );
-        if let Err(e) = serve_slo_gate(true) {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
         if let Err(e) = phase_gate(true) {
             eprintln!("{e}");
             return ExitCode::FAILURE;
@@ -287,13 +200,6 @@ fn main() -> ExitCode {
         }
         Ok(findings) => findings,
     };
-    match serve_slo_gate(false) {
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
-        Ok(serve_findings) => findings.extend(serve_findings),
-    }
     match phase_gate(false) {
         Err(e) => {
             eprintln!("{e}");

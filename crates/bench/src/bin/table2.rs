@@ -7,16 +7,12 @@
 //! total line count.
 
 use mak::spec::RL_CRAWLERS;
-use mak_bench::gate::{measure, CellResult, GateConfig};
-use mak_bench::{
-    budget_minutes, matrix, pct, seeds, store, threads, write_result, write_summaries,
-};
-use mak_metrics::experiment::run_matrix_cached_observed;
+use mak_bench::{matrix, pct, seeds, store, threads, write_result, write_summaries};
+use mak_metrics::experiment::run_matrix_cached;
 use mak_metrics::ground_truth::UnionCoverage;
 use mak_metrics::plot::{BarChart, BarSeries};
 use mak_metrics::report::{markdown_table, RunSummary};
 use mak_metrics::stats::mean;
-use mak_obs::sink::{SharedSink, VecSink};
 use mak_websim::apps::{self, NODE_APPS};
 use std::fmt::Write as _;
 
@@ -31,8 +27,7 @@ fn main() {
         seeds(),
         threads()
     );
-    let (cell_sink, cells_collected) = SharedSink::shared(VecSink::new());
-    let reports = run_matrix_cached_observed(&m, threads(), &store(), &cell_sink);
+    let reports = run_matrix_cached(&m, threads(), &store());
 
     let mut rows = Vec::new();
     let mut chart_values: Vec<Vec<f64>> = vec![Vec::new(); RL_CRAWLERS.len()];
@@ -94,18 +89,4 @@ fn main() {
     write_result("table2.md", &out);
     let summaries: Vec<RunSummary> = reports.iter().map(RunSummary::from).collect();
     write_summaries("table2_runs.json", &summaries);
-
-    // Gate-shaped view of the same matrix, for ad-hoc comparison against
-    // `results/baselines.json` (the gate itself is the `regress` binary).
-    let events =
-        cells_collected.lock().unwrap_or_else(std::sync::PoisonError::into_inner).events().to_vec();
-    let bench = measure(
-        reports.iter().map(CellResult::from),
-        events.iter(),
-        GateConfig { seeds: seeds(), budget_minutes: budget_minutes() },
-    );
-    write_result(
-        "BENCH_coverage.json",
-        &serde_json::to_string_pretty(&bench).expect("bench serializes"),
-    );
 }

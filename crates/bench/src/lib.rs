@@ -10,10 +10,10 @@
 //! | `table2`  | Table II       | estimated mean coverage, 11 apps |
 //! | `ablation`| §V-C           | cumulative regret MAK/BFS/DFS/Random |
 //! | `ablation2`| extension     | design-choice ablations (policies, rewards, pool) |
-//! | `perf`    | §V-D           | mean interacted elements per run |
+//! | `perf`    | §V-D           | mean interacted elements per run, per-app phase breakdown |
 //! | `sweep`   | extension      | coverage vs crawl budget |
 //! | `faults`  | extension      | coverage + resilience vs injected fault rate |
-//! | `regress` | —              | coverage/regret gate vs `results/baselines.json`, serve SLO gate vs `results/serve_slo.json` |
+//! | `regress` | —              | coverage/regret gate vs `results/baselines.json`, phase-share gate vs `results/phase_gate.json` |
 //! | `report`  | —              | assemble `results/index.html` |
 //!
 //! All binaries honor these environment variables:
@@ -34,7 +34,6 @@
 
 pub mod gate;
 pub mod phase;
-pub mod slo;
 
 use mak::framework::engine::EngineConfig;
 use mak_metrics::experiment::RunMatrix;

@@ -1,6 +1,6 @@
-//! Per-phase share gating: the phase-breakdown schema inside
-//! `results/BENCH_perf.json` and the blessed per-phase share ceilings the
-//! `regress` binary holds it to (`results/phase_gate.json`).
+//! Per-phase share gating: the schema of `results/BENCH_perf.json` and
+//! the blessed per-phase share ceilings the `regress` binary holds it to
+//! (`results/phase_gate.json`).
 //!
 //! The crawl engine attributes every virtual-clock charge to one leaf
 //! phase (`mak_obs::span::PhaseTotals`), and the `perf` binary folds the
@@ -21,8 +21,8 @@
 use mak_obs::span::{Phase, PhaseTotals};
 use serde::{Deserialize, Serialize};
 
-/// The slice of `results/BENCH_perf.json` the gate reads — unknown
-/// fields (cells, cache, profile) are ignored by the deserializer.
+/// The `results/BENCH_perf.json` document: written by the `perf` binary,
+/// read back by `regress`.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct PerfPhaseView {
     /// Virtual budget per run, minutes.

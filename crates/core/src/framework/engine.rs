@@ -298,18 +298,40 @@ mod tests {
         assert!(traced.trace.iter().all(|t| t.action == "Head"), "bfs always plays Head");
     }
 
+    /// Every virtual-clock charge lands in exactly one phase bucket: on
+    /// every app, for every registry crawler, with and without faults,
+    /// the five buckets sum to the elapsed budget up to float dust. A
+    /// charge that skips its bucket (or lands in two) shows up here as
+    /// whole virtual milliseconds.
     #[test]
     fn report_phase_breakdown_partitions_elapsed_time() {
-        let mut c = StaticCrawler::bfs(3);
-        let report = run_crawl(&mut c, apps::build("addressbook").unwrap(), &short(), 3);
-        let elapsed_ms = report.elapsed_secs * 1000.0;
-        let total = report.phase.total_ms();
-        assert!(
-            (total - elapsed_ms).abs() <= 1e-6 * elapsed_ms,
-            "phase buckets must sum to the elapsed budget: {total} vs {elapsed_ms}",
-        );
-        assert!(report.phase.policy_ms > 0.0, "every step charges policy overhead");
-        assert!(report.phase.render_ms > 0.0);
+        use crate::spec::{build_crawler, CRAWLER_NAMES};
+
+        for app in apps::all_names() {
+            for crawler in CRAWLER_NAMES {
+                for profile in ["none", "heavy"] {
+                    let config = EngineConfig {
+                        faults: FaultPlan::profile(profile).unwrap(),
+                        ..EngineConfig::with_budget_minutes(5.0)
+                    };
+                    let mut c = build_crawler(crawler, 3).unwrap();
+                    let report = run_crawl(&mut *c, apps::build(app).unwrap(), &config, 3);
+                    let cell = format!("{app}/{crawler}/{profile}");
+                    let elapsed_ms = report.elapsed_secs * 1000.0;
+                    let total = report.phase.total_ms();
+                    assert!(
+                        (total - elapsed_ms).abs() <= 1e-9 * elapsed_ms,
+                        "{cell}: phase buckets must sum to the elapsed budget: \
+                         {total} vs {elapsed_ms}",
+                    );
+                    assert!(report.phase.policy_ms > 0.0, "{cell}: every step charges policy");
+                    assert!(report.phase.render_ms > 0.0, "{cell}: every crawl renders");
+                    if profile == "heavy" {
+                        assert!(report.phase.backoff_ms > 0.0, "{cell}: faults charge backoff");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

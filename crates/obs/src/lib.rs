@@ -15,8 +15,8 @@
 //!    bit-identical across reruns and thread counts. The single
 //!    exception is [`Event::CellFinished`], a *bench-side* event emitted
 //!    outside any crawl (through [`sink::SharedSink`]) that records
-//!    wall-clock cost for `BENCH_perf.json`; it never enters a per-crawl
-//!    trace.
+//!    wall-clock cost for the `regress` gate's steps/sec floors; it never
+//!    enters a per-crawl trace.
 //! 3. **No-op by default, lazy when attached.** [`sink::SinkHandle`]
 //!    defaults to inert; `emit_with` takes a closure so event
 //!    construction (string formatting, prob-vector clones) is skipped

@@ -172,34 +172,45 @@ fn graceful_drain_and_recover_is_bit_identical() {
 }
 
 /// A hard crash: the service is dropped with no drain call at all. Only
-/// cadence checkpoints exist; recovered sessions replay from their last
-/// boundary and still finish bit-identically.
+/// admission-time and cadence checkpoints exist; recovered sessions replay
+/// from their last one, finish bit-identically, and none goes missing.
+/// The crash points cover sessions that crossed several cadence
+/// boundaries and a crash before any session reached its first, where
+/// only the admission-time checkpoints can bring the sessions back.
 #[test]
 fn hard_crash_recovers_from_cadence_checkpoints() {
     let truth = uninterrupted("heavy");
-    let dir = tmpdir("hard-crash");
-    let mut service = CrawlService::new(durable_config(&dir, ScheduleOrder::RoundRobin));
-    for spec in workload("heavy") {
-        service.submit(spec).unwrap();
-    }
-    let early = service.run_for_steps(200);
-    // No drain(): simulate SIGKILL by dropping the live service.
-    drop(service);
+    for (cadence, crash_at) in [(16, 200), (8, 200), (8, 4)] {
+        let context = format!("cadence {cadence}, crash at step {crash_at}");
+        let dir = tmpdir(&format!("hard-crash-{cadence}-{crash_at}"));
+        let config = |order| ServiceConfig {
+            checkpoint_every_steps: cadence,
+            ..durable_config(&dir, order)
+        };
+        let mut service = CrawlService::new(config(ScheduleOrder::RoundRobin));
+        for spec in workload("heavy") {
+            service.submit(spec).unwrap();
+        }
+        let early = service.run_for_steps(crash_at);
+        // No drain(): simulate SIGKILL by dropping the live service.
+        drop(service);
 
-    let mut revived = CrawlService::new(durable_config(&dir, ScheduleOrder::Lifo));
-    let recovery = revived.recover().unwrap();
-    assert!(recovery.restored > 0, "200 steps across six sessions must cross the 16-step cadence");
-    assert_eq!(recovery.corrupt_quarantined, 0);
-    let late = revived.run_to_drain();
-    assert_eq!(late.len() as u64, recovery.restored);
-    for c in early.iter().chain(&late) {
-        let (truth_report, _) = &truth[&c.id];
-        assert_eq!(&c.report, truth_report, "session {} diverged after hard crash", c.id);
+        let mut revived = CrawlService::new(config(ScheduleOrder::Lifo));
+        let recovery = revived.recover().unwrap();
+        assert!(recovery.restored > 0, "{context}: unfinished sessions must be restored");
+        assert_eq!(recovery.corrupt_quarantined, 0, "{context}");
+        let late = revived.run_to_drain();
+        assert_eq!(late.len() as u64, recovery.restored, "{context}");
+        assert_eq!(early.len() + late.len(), truth.len(), "{context}: a session was lost");
+        for c in early.iter().chain(&late) {
+            let (truth_report, _) = &truth[&c.id];
+            assert_eq!(&c.report, truth_report, "{context}: session {} diverged", c.id);
+        }
+        let restores =
+            revived.metrics().registry().counter_value("mak_serve_checkpoint_restores_total", &[]);
+        assert_eq!(restores, recovery.restored as f64, "{context}");
+        fs::remove_dir_all(&dir).unwrap();
     }
-    let restores =
-        revived.metrics().registry().counter_value("mak_serve_checkpoint_restores_total", &[]);
-    assert_eq!(restores, recovery.restored as f64);
-    fs::remove_dir_all(&dir).unwrap();
 }
 
 /// Corrupt checkpoints — bit-flipped, truncated, torn, or garbage — are

@@ -56,9 +56,31 @@ fn virtual_artifacts(threads: usize, order: ScheduleOrder) -> (String, String) {
     (snapshot.to_prometheus(), snapshot.to_json())
 }
 
+/// The `serve-burst` benchmark's mix at 1/111 scale: 90 sessions cycling
+/// addressbook/vanilla/phpbb2 × mak/bfs/random, half a virtual minute
+/// each, all under one tenant whose default quota they never reach.
+/// Returns the virtual-domain snapshot rendered both ways.
+fn load_mix_artifacts(threads: usize, order: ScheduleOrder) -> (String, String) {
+    let apps = ["addressbook", "vanilla", "phpbb2"];
+    let crawlers = ["mak", "bfs", "random"];
+    let mut service =
+        CrawlService::new(ServiceConfig { threads, order, ..ServiceConfig::default() });
+    for seed in 0..90u64 {
+        let app = apps[(seed % 3) as usize];
+        let crawler = crawlers[(seed / 3 % 3) as usize];
+        let spec = SessionSpec::new("load", app, crawler, seed)
+            .config(EngineConfig::with_budget_minutes(0.5));
+        service.submit(spec).unwrap();
+    }
+    assert_eq!(service.run_to_drain().len(), 90);
+    let snapshot = service.metrics().virtual_snapshot();
+    (snapshot.to_prometheus(), snapshot.to_json())
+}
+
 /// The acceptance criterion: virtual-domain snapshots — Prometheus text
 /// and JSON alike — are byte-identical across `MAK_THREADS` ∈ {1, 4, 8}
-/// and all three `ScheduleOrder`s, rejections included.
+/// and all three `ScheduleOrder`s, on the quota-pressured workload
+/// (rejections included) and on the unquotaed load mix.
 #[test]
 fn virtual_snapshots_are_byte_identical_across_schedules() {
     let (truth_prom, truth_json) = virtual_artifacts(1, ScheduleOrder::RoundRobin);
@@ -68,12 +90,18 @@ fn virtual_snapshots_are_byte_identical_across_schedules() {
     assert!(truth_prom.contains("reason=\"unknown_app\""));
     assert!(truth_prom.contains("reason=\"unknown_crawler\""));
     assert!(!truth_prom.contains("mak_serve_step_latency_ns"), "wall families must be excluded");
+    let (mix_prom, mix_json) = load_mix_artifacts(1, ScheduleOrder::RoundRobin);
+    assert!(mix_prom.contains("app=\"phpbb2\"") && mix_prom.contains("crawler=\"random\""));
+    assert!(!mix_prom.contains("reason="), "the load mix is never rejected");
     for threads in [1usize, 4, 8] {
         for order in [ScheduleOrder::RoundRobin, ScheduleOrder::Lifo, ScheduleOrder::Random(0xBEEF)]
         {
             let (prom, json) = virtual_artifacts(threads, order);
             assert_eq!(prom, truth_prom, "prometheus text diverged under {order:?} x{threads}");
             assert_eq!(json, truth_json, "JSON snapshot diverged under {order:?} x{threads}");
+            let (prom, json) = load_mix_artifacts(threads, order);
+            assert_eq!(prom, mix_prom, "load-mix prometheus diverged under {order:?} x{threads}");
+            assert_eq!(json, mix_json, "load-mix JSON diverged under {order:?} x{threads}");
         }
     }
 }
@@ -99,7 +127,7 @@ fn virtual_counters_reconcile_with_session_reports() {
 }
 
 /// `ServiceConfig::collect_metrics = false` folds nothing — the knob the
-/// load bench uses to price collection itself.
+/// benchmark's traced runs use to price collection itself.
 #[test]
 fn metrics_can_be_disabled_without_changing_outcomes() {
     let run = |collect_metrics: bool| {
