@@ -59,32 +59,6 @@ impl EpsilonGreedy {
     }
 }
 
-// Checkpoint serialization.
-impl serde::Serialize for EpsilonGreedy {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Object(vec![
-            ("epsilon".to_owned(), serde::Value::Float(self.epsilon)),
-            ("counts".to_owned(), self.counts.to_value()),
-            ("means".to_owned(), self.means.to_value()),
-        ])
-    }
-}
-
-impl serde::Deserialize for EpsilonGreedy {
-    fn from_value(value: &serde::Value) -> Result<Self, serde::Error> {
-        let serde::Value::Object(entries) = value else {
-            return Err(serde::Error::custom("expected EpsilonGreedy object"));
-        };
-        let epsilon: f64 = serde::__field(entries, "epsilon")?;
-        let counts: Vec<u64> = serde::__field(entries, "counts")?;
-        let means: Vec<f64> = serde::__field(entries, "means")?;
-        if counts.is_empty() || counts.len() != means.len() || !(0.0..=1.0).contains(&epsilon) {
-            return Err(serde::Error::custom("malformed EpsilonGreedy checkpoint"));
-        }
-        Ok(EpsilonGreedy { epsilon, counts, means })
-    }
-}
-
 impl BanditPolicy for EpsilonGreedy {
     fn arms(&self) -> usize {
         self.counts.len()

@@ -65,31 +65,6 @@ impl Exp3 {
     }
 }
 
-// Checkpoint serialization; see the Exp3.1 notes — finite f64 weights
-// round-trip bit-exactly through the JSON layer.
-impl serde::Serialize for Exp3 {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Object(vec![
-            ("gamma".to_owned(), serde::Value::Float(self.gamma)),
-            ("weights".to_owned(), self.weights.to_value()),
-        ])
-    }
-}
-
-impl serde::Deserialize for Exp3 {
-    fn from_value(value: &serde::Value) -> Result<Self, serde::Error> {
-        let serde::Value::Object(entries) = value else {
-            return Err(serde::Error::custom("expected Exp3 object"));
-        };
-        let gamma: f64 = serde::__field(entries, "gamma")?;
-        let weights: Vec<f64> = serde::__field(entries, "weights")?;
-        if weights.is_empty() || !(gamma > 0.0 && gamma <= 1.0) {
-            return Err(serde::Error::custom("malformed Exp3 checkpoint"));
-        }
-        Ok(Exp3 { gamma, weights })
-    }
-}
-
 impl BanditPolicy for Exp3 {
     fn arms(&self) -> usize {
         self.weights.len()

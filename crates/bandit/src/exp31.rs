@@ -159,49 +159,6 @@ impl Exp31 {
     }
 }
 
-// Checkpoint serialization: the learner's whole trajectory — gains, weights,
-// epoch, step count — round-trips exactly (finite f64s survive the JSON
-// writer bit-for-bit). The sink is observational and restored inert; callers
-// re-attach one after deserialization.
-impl serde::Serialize for Exp31 {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Object(vec![
-            ("k".to_owned(), serde::Value::UInt(self.k as u64)),
-            ("g_hat".to_owned(), self.g_hat.to_value()),
-            ("weights".to_owned(), self.weights.to_value()),
-            ("epoch".to_owned(), serde::Value::UInt(u64::from(self.epoch))),
-            ("t".to_owned(), serde::Value::UInt(self.t)),
-            ("skip_epoch_advance".to_owned(), serde::Value::Bool(self.skip_epoch_advance)),
-        ])
-    }
-}
-
-impl serde::Deserialize for Exp31 {
-    fn from_value(value: &serde::Value) -> Result<Self, serde::Error> {
-        let serde::Value::Object(entries) = value else {
-            return Err(serde::Error::custom("expected Exp31 object"));
-        };
-        let k: usize = serde::__field(entries, "k")?;
-        if k == 0 {
-            return Err(serde::Error::custom("Exp3.1 checkpoint with zero arms"));
-        }
-        let g_hat: Vec<f64> = serde::__field(entries, "g_hat")?;
-        let weights: Vec<f64> = serde::__field(entries, "weights")?;
-        if g_hat.len() != k || weights.len() != k {
-            return Err(serde::Error::custom("Exp3.1 checkpoint arm-count mismatch"));
-        }
-        Ok(Exp31 {
-            k,
-            g_hat,
-            weights,
-            epoch: serde::__field(entries, "epoch")?,
-            t: serde::__field(entries, "t")?,
-            skip_epoch_advance: serde::__field(entries, "skip_epoch_advance")?,
-            sink: SinkHandle::none(),
-        })
-    }
-}
-
 impl BanditPolicy for Exp31 {
     fn arms(&self) -> usize {
         self.k

@@ -63,31 +63,6 @@ impl RunningStats {
     }
 }
 
-// Checkpoint serialization. Welford state is three finite f64/u64 scalars,
-// all of which round-trip bit-exactly through the JSON layer.
-impl serde::Serialize for RunningStats {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Object(vec![
-            ("n".to_owned(), serde::Value::UInt(self.n)),
-            ("mean".to_owned(), serde::Value::Float(self.mean)),
-            ("m2".to_owned(), serde::Value::Float(self.m2)),
-        ])
-    }
-}
-
-impl serde::Deserialize for RunningStats {
-    fn from_value(value: &serde::Value) -> Result<Self, serde::Error> {
-        let serde::Value::Object(entries) = value else {
-            return Err(serde::Error::custom("expected RunningStats object"));
-        };
-        Ok(RunningStats {
-            n: serde::__field(entries, "n")?,
-            mean: serde::__field(entries, "mean")?,
-            m2: serde::__field(entries, "m2")?,
-        })
-    }
-}
-
 /// The logistic squash `1/(1 + e^{−x})` (§IV-D).
 pub fn logistic(x: f64) -> f64 {
     1.0 / (1.0 + (-x).exp())
@@ -138,19 +113,6 @@ impl StandardizedReward {
     /// The underlying history statistics.
     pub fn stats(&self) -> &RunningStats {
         &self.stats
-    }
-}
-
-// Checkpoint serialization: the transform is just its history statistics.
-impl serde::Serialize for StandardizedReward {
-    fn to_value(&self) -> serde::Value {
-        self.stats.to_value()
-    }
-}
-
-impl serde::Deserialize for StandardizedReward {
-    fn from_value(value: &serde::Value) -> Result<Self, serde::Error> {
-        Ok(StandardizedReward { stats: RunningStats::from_value(value)? })
     }
 }
 

@@ -19,8 +19,7 @@ use std::hash::BuildHasher;
 ///
 /// `S` hashes the table's keys. The default is the std `RandomState`;
 /// crawlers pass a deterministic fast hasher ([`QTable::with_hasher`]),
-/// which is sound because nothing iterates the table in hasher order — the
-/// checkpoint form sorts its entries.
+/// which is sound because nothing iterates the table in hasher order.
 ///
 /// # Examples
 ///
@@ -156,82 +155,6 @@ pub fn argmax(values: &[f64]) -> Option<usize> {
         .enumerate()
         .max_by(|(ia, a), (ib, b)| a.partial_cmp(b).unwrap().then(ib.cmp(ia)))
         .map(|(i, _)| i)
-}
-
-// Checkpoint serialization. The hash map and set are emitted in sorted key
-// order so the bytes are a pure function of the table's content, never of
-// insertion history or hasher state.
-impl<S> serde::Serialize for QTable<S> {
-    fn to_value(&self) -> serde::Value {
-        let mut entries: Vec<((u64, u64), f64)> = self.q.iter().map(|(&k, &v)| (k, v)).collect();
-        entries.sort_unstable_by_key(|&(k, _)| k);
-        let q: Vec<serde::Value> = entries
-            .into_iter()
-            .map(|((s, a), v)| {
-                serde::Value::Array(vec![
-                    serde::Value::UInt(s),
-                    serde::Value::UInt(a),
-                    serde::Value::Float(v),
-                ])
-            })
-            .collect();
-        let mut states: Vec<u64> = self.states.iter().copied().collect();
-        states.sort_unstable();
-        serde::Value::Object(vec![
-            ("alpha".to_owned(), serde::Value::Float(self.alpha)),
-            ("discount".to_owned(), serde::Value::Float(self.discount)),
-            ("initial".to_owned(), serde::Value::Float(self.initial)),
-            ("q".to_owned(), serde::Value::Array(q)),
-            ("states".to_owned(), states.to_value()),
-        ])
-    }
-}
-
-impl<S: BuildHasher + Default> serde::Deserialize for QTable<S> {
-    fn from_value(value: &serde::Value) -> Result<Self, serde::Error> {
-        let serde::Value::Object(obj) = value else {
-            return Err(serde::Error::custom("expected QTable object"));
-        };
-        let alpha: f64 = serde::__field(obj, "alpha")?;
-        let discount: f64 = serde::__field(obj, "discount")?;
-        if !(alpha > 0.0 && alpha <= 1.0 && (0.0..1.0).contains(&discount)) {
-            return Err(serde::Error::custom("malformed QTable checkpoint"));
-        }
-        let triples: Vec<(u64, u64, f64)> = {
-            let raw = obj
-                .iter()
-                .find(|(k, _)| k == "q")
-                .map(|(_, v)| v)
-                .ok_or_else(|| serde::Error::custom("missing field `q`"))?;
-            let serde::Value::Array(items) = raw else {
-                return Err(serde::Error::custom("expected array for `q`"));
-            };
-            items
-                .iter()
-                .map(|item| {
-                    let serde::Value::Array(parts) = item else {
-                        return Err(serde::Error::custom("expected [s, a, v] triple"));
-                    };
-                    if parts.len() != 3 {
-                        return Err(serde::Error::custom("expected [s, a, v] triple"));
-                    }
-                    Ok((
-                        u64::from_value(&parts[0])?,
-                        u64::from_value(&parts[1])?,
-                        f64::from_value(&parts[2])?,
-                    ))
-                })
-                .collect::<Result<_, _>>()?
-        };
-        let states: Vec<u64> = serde::__field(obj, "states")?;
-        Ok(QTable {
-            q: triples.into_iter().map(|(s, a, v)| ((s, a), v)).collect(),
-            alpha,
-            discount,
-            initial: serde::__field(obj, "initial")?,
-            states: states.into_iter().collect(),
-        })
-    }
 }
 
 #[cfg(test)]

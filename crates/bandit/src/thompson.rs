@@ -86,30 +86,6 @@ impl Thompson {
     }
 }
 
-// Checkpoint serialization.
-impl serde::Serialize for Thompson {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Object(vec![
-            ("alpha".to_owned(), self.alpha.to_value()),
-            ("beta".to_owned(), self.beta.to_value()),
-        ])
-    }
-}
-
-impl serde::Deserialize for Thompson {
-    fn from_value(value: &serde::Value) -> Result<Self, serde::Error> {
-        let serde::Value::Object(entries) = value else {
-            return Err(serde::Error::custom("expected Thompson object"));
-        };
-        let alpha: Vec<f64> = serde::__field(entries, "alpha")?;
-        let beta: Vec<f64> = serde::__field(entries, "beta")?;
-        if alpha.is_empty() || alpha.len() != beta.len() {
-            return Err(serde::Error::custom("malformed Thompson checkpoint"));
-        }
-        Ok(Thompson { alpha, beta })
-    }
-}
-
 impl BanditPolicy for Thompson {
     fn arms(&self) -> usize {
         self.alpha.len()

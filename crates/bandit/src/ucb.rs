@@ -52,31 +52,6 @@ impl Ucb1 {
     }
 }
 
-// Checkpoint serialization.
-impl serde::Serialize for Ucb1 {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Object(vec![
-            ("counts".to_owned(), self.counts.to_value()),
-            ("means".to_owned(), self.means.to_value()),
-            ("total".to_owned(), serde::Value::UInt(self.total)),
-        ])
-    }
-}
-
-impl serde::Deserialize for Ucb1 {
-    fn from_value(value: &serde::Value) -> Result<Self, serde::Error> {
-        let serde::Value::Object(entries) = value else {
-            return Err(serde::Error::custom("expected Ucb1 object"));
-        };
-        let counts: Vec<u64> = serde::__field(entries, "counts")?;
-        let means: Vec<f64> = serde::__field(entries, "means")?;
-        if counts.is_empty() || counts.len() != means.len() {
-            return Err(serde::Error::custom("malformed Ucb1 checkpoint"));
-        }
-        Ok(Ucb1 { counts, means, total: serde::__field(entries, "total")? })
-    }
-}
-
 impl BanditPolicy for Ucb1 {
     fn arms(&self) -> usize {
         self.counts.len()

@@ -14,7 +14,7 @@ use mak_obs::sink::SinkHandle;
 use mak_obs::span::{Phase, PhaseTotals};
 use mak_websim::dom::{FieldKind, FormSpec, Interactable};
 use mak_websim::http::{Body, Method, Request, SessionId, Status};
-use mak_websim::server::{AppHost, HostState};
+use mak_websim::server::AppHost;
 use mak_websim::url::Url;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -147,11 +147,13 @@ impl Browser {
         }
     }
 
-    /// Attaches an event sink; the browser emits
-    /// [`Event::PageFetched`] / [`Event::RedirectFollowed`] with the
-    /// cost-model breakdown of every charge. Purely observational —
-    /// the charges themselves are identical with or without a sink.
+    /// Attaches an event sink to the browser and the host it drives; the
+    /// browser emits [`Event::PageFetched`] / [`Event::RedirectFollowed`]
+    /// with the cost-model breakdown of every charge, the host its
+    /// coverage deltas. Purely observational — the charges themselves are
+    /// identical with or without a sink.
     pub fn set_sink(&mut self, sink: SinkHandle) {
+        self.host.set_sink(sink.clone());
         self.sink = sink;
     }
 
@@ -541,148 +543,6 @@ impl Browser {
     }
 }
 
-/// The browser's full mutable state between steps, captured by
-/// [`Browser::snapshot`] and rehydrated by [`Browser::restore`].
-///
-/// Only state that evolves during the crawl is here; the immutable run
-/// configuration (seed, [`CostModel`], [`FaultPlan`]) is supplied again at
-/// restore time by whoever owns the checkpoint, and derived values
-/// (`origin`, `fault_stream_seed`) are recomputed. The observer and sink
-/// are deliberately absent — both are observational attachments the caller
-/// re-installs after restore.
-#[derive(Debug, Clone)]
-pub struct BrowserState {
-    /// The session cookie, if the crawl is logged in.
-    pub cookie: Option<SessionId>,
-    /// Elapsed virtual milliseconds.
-    pub now_ms: f64,
-    /// The virtual budget in milliseconds.
-    pub budget_ms: f64,
-    /// The cost-model RNG's xoshiro256++ words — resuming replays the
-    /// jitter stream from exactly where it stopped.
-    pub rng: [u64; 4],
-    /// Interactions executed so far (§V-D metric).
-    pub interactions: u64,
-    /// Monotonic form-fill counter (keeps generated field values unique).
-    pub fill_counter: u64,
-    /// Fault-decision stream position.
-    pub fault_counter: u64,
-    /// Fault-layer statistics so far.
-    pub fault_stats: FaultStats,
-    /// Per-phase virtual-time attribution so far.
-    pub phase: PhaseTotals,
-    /// The hosted application's server-side state (coverage tracker,
-    /// session store, request count).
-    pub host: HostState,
-}
-
-impl serde::Serialize for BrowserState {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Object(vec![
-            ("cookie".to_owned(), self.cookie.to_value()),
-            ("now_ms".to_owned(), serde::Value::Float(self.now_ms)),
-            ("budget_ms".to_owned(), serde::Value::Float(self.budget_ms)),
-            ("rng".to_owned(), self.rng.to_value()),
-            ("interactions".to_owned(), serde::Value::UInt(self.interactions)),
-            ("fill_counter".to_owned(), serde::Value::UInt(self.fill_counter)),
-            ("fault_counter".to_owned(), serde::Value::UInt(self.fault_counter)),
-            ("fault_stats".to_owned(), self.fault_stats.to_value()),
-            ("phase".to_owned(), self.phase.to_value()),
-            ("host".to_owned(), self.host.to_value()),
-        ])
-    }
-}
-
-impl serde::Deserialize for BrowserState {
-    fn from_value(value: &serde::Value) -> Result<Self, serde::Error> {
-        let serde::Value::Object(entries) = value else {
-            return Err(serde::Error::custom("expected BrowserState object"));
-        };
-        let rng_words: Vec<u64> = serde::__field(entries, "rng")?;
-        let rng: [u64; 4] = rng_words
-            .as_slice()
-            .try_into()
-            .map_err(|_| serde::Error::custom("rng state must be four words"))?;
-        if rng == [0; 4] {
-            return Err(serde::Error::custom("rng state must be non-zero"));
-        }
-        let now_ms: f64 = serde::__field(entries, "now_ms")?;
-        let budget_ms: f64 = serde::__field(entries, "budget_ms")?;
-        // Negated so NaN in either field also fails validation.
-        let clock_ok = budget_ms > 0.0 && now_ms >= 0.0;
-        if !clock_ok {
-            return Err(serde::Error::custom("malformed clock state"));
-        }
-        Ok(BrowserState {
-            cookie: serde::__field(entries, "cookie")?,
-            now_ms,
-            budget_ms,
-            rng,
-            interactions: serde::__field(entries, "interactions")?,
-            fill_counter: serde::__field(entries, "fill_counter")?,
-            fault_counter: serde::__field(entries, "fault_counter")?,
-            fault_stats: serde::__field(entries, "fault_stats")?,
-            phase: serde::__field(entries, "phase")?,
-            host: serde::__field(entries, "host")?,
-        })
-    }
-}
-
-impl Browser {
-    /// Captures the full mutable state of this browser and its hosted
-    /// application. Call between steps (never mid-request); restoring the
-    /// result with [`Browser::restore`] under the same `(seed, cost,
-    /// faults)` continues the crawl bit-identically.
-    pub fn snapshot(&self) -> BrowserState {
-        BrowserState {
-            cookie: self.cookie,
-            now_ms: self.clock.elapsed_ms(),
-            budget_ms: self.clock.budget_ms(),
-            rng: self.rng.state(),
-            interactions: self.interactions,
-            fill_counter: self.fill_counter,
-            fault_counter: self.fault_counter,
-            fault_stats: self.fault_stats.clone(),
-            phase: self.phase,
-            host: self.host.snapshot_state(),
-        }
-    }
-
-    /// Rebuilds a browser mid-crawl. `host` must already be rehydrated
-    /// from the same checkpoint's embedded [`HostState`]
-    /// (`AppHost::restore_shared` / `restore_owned`); `seed`, `cost`, and
-    /// `faults` are the run's immutable configuration, re-supplied because
-    /// they never travel in the checkpoint. The restored browser has no
-    /// observer and a null sink — re-attach after restore if needed.
-    pub fn restore(
-        host: AppHost,
-        seed: u64,
-        cost: CostModel,
-        faults: FaultPlan,
-        state: &BrowserState,
-    ) -> Self {
-        let origin = host.app().seed_url();
-        let fault_stream_seed = faults.fault_seed ^ seed;
-        Browser {
-            host,
-            origin,
-            cookie: state.cookie,
-            clock: VirtualClock::restore(state.now_ms, state.budget_ms),
-            cost,
-            rng: StdRng::from_state(state.rng),
-            interactions: state.interactions,
-            fill_counter: state.fill_counter,
-            observer: None,
-            sink: SinkHandle::none(),
-            faults,
-            fault_stream_seed,
-            fault_counter: state.fault_counter,
-            fault_stats: state.fault_stats.clone(),
-            phase: state.phase,
-        }
-    }
-}
-
 /// The URL an interactable resolves to — used to label fault events.
 fn action_target(action: &Interactable) -> &Url {
     match action {
@@ -984,103 +844,6 @@ mod tests {
             spans.iter().filter(|(parent, _)| *parent != 0).count() >= 3,
             "fetch leaf spans nest under ExecuteAction: {spans:?}",
         );
-    }
-
-    /// Drives `b` through up to `steps` interactions, returning a digest of
-    /// everything observable: clock bits, interaction count, rng state,
-    /// fault stats, and visited URLs.
-    fn drive(b: &mut Browser, steps: usize) -> (u64, u64, [u64; 4], FaultStats, Vec<String>) {
-        let origin = b.origin().clone();
-        let mut urls = Vec::new();
-        let mut page = match b.open_seed() {
-            Ok(p) => p,
-            Err(_) => {
-                return (
-                    b.clock().elapsed_ms().to_bits(),
-                    b.interaction_count(),
-                    b.rng.state(),
-                    b.fault_stats().clone(),
-                    urls,
-                )
-            }
-        };
-        for _ in 0..steps {
-            let Some(action) = page.valid_interactables(&origin).next().cloned() else { break };
-            match b.execute(&action) {
-                Ok(next) => {
-                    urls.push(next.url().normalized().to_owned());
-                    page = next;
-                }
-                Err(BrowseError::BudgetExhausted) => break,
-                Err(_) => {
-                    // Fault surfaced: re-open the seed like a restarting
-                    // crawler would.
-                    page = match b.open_seed() {
-                        Ok(p) => p,
-                        Err(_) => break,
-                    };
-                }
-            }
-        }
-        (
-            b.clock().elapsed_ms().to_bits(),
-            b.interaction_count(),
-            b.rng.state(),
-            b.fault_stats().clone(),
-            urls,
-        )
-    }
-
-    #[test]
-    fn snapshot_restore_round_trip_is_bit_identical() {
-        for plan in [FaultPlan::none(), FaultPlan::uniform(0.2)] {
-            // Uninterrupted reference run: 6 then 20 more interactions.
-            let mut reference = faulty_browser("phpbb2", plan.clone(), 13);
-            drive(&mut reference, 6);
-            let expected = drive(&mut reference, 20);
-
-            // Interrupted run: same first 6, snapshot through JSON, restore,
-            // then the same 20 more.
-            let mut first = faulty_browser("phpbb2", plan.clone(), 13);
-            drive(&mut first, 6);
-            let json = serde_json::to_string(&first.snapshot()).unwrap();
-            let state: BrowserState = serde_json::from_str(&json).unwrap();
-            let host = AppHost::restore_owned(apps::build("phpbb2").unwrap(), &state.host).unwrap();
-            let mut resumed = Browser::restore(host, 13, CostModel::default(), plan, &state);
-            let got = drive(&mut resumed, 20);
-
-            assert_eq!(got, expected, "restored browser diverged from the uninterrupted run");
-        }
-    }
-
-    #[test]
-    fn snapshot_preserves_session_cookie() {
-        let mut b = browser("oscommerce2", 30.0);
-        b.open_seed().unwrap();
-        b.navigate(&"http://oscommerce.local/cart".parse().unwrap()).unwrap();
-        let state = b.snapshot();
-        assert!(state.cookie.is_some(), "logged-in crawl checkpoints its cookie");
-        let host =
-            AppHost::restore_owned(apps::build("oscommerce2").unwrap(), &state.host).unwrap();
-        let mut r = Browser::restore(host, 7, CostModel::default(), FaultPlan::none(), &state);
-        r.navigate(&"http://oscommerce.local/cart".parse().unwrap()).unwrap();
-        assert_eq!(r.host().session_count(), 1, "the restored browser reuses the same session");
-    }
-
-    #[test]
-    fn corrupt_browser_state_is_rejected_not_panicked() {
-        use serde::{Deserialize as _, Serialize as _};
-        let b = browser("addressbook", 30.0);
-        let good = b.snapshot().to_value();
-        // All-zero rng words would poison xoshiro; must surface as an error.
-        let serde::Value::Object(mut entries) = good else { panic!("object") };
-        for (k, v) in &mut entries {
-            if k == "rng" {
-                *v = vec![0u64; 4].to_value();
-            }
-        }
-        let err = BrowserState::from_value(&serde::Value::Object(entries));
-        assert!(err.is_err(), "zero rng state must be a deserialize error");
     }
 
     #[test]

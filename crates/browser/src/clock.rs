@@ -31,16 +31,6 @@ impl VirtualClock {
         Self::new(minutes * 60_000.0)
     }
 
-    /// Rebuilds a clock mid-flight from checkpointed state. `now_ms` may
-    /// legitimately sit at or past the budget (a session snapshotted on its
-    /// final step), so unlike [`VirtualClock::new`] only the budget is
-    /// validated.
-    pub fn restore(now_ms: f64, budget_ms: f64) -> Self {
-        assert!(budget_ms > 0.0, "budget must be positive");
-        assert!(now_ms >= 0.0, "elapsed time must be non-negative");
-        VirtualClock { now_ms, budget_ms }
-    }
-
     /// Advances the clock by `ms` (clamped to non-negative).
     pub fn advance(&mut self, ms: f64) {
         self.now_ms += ms.max(0.0);

@@ -91,40 +91,6 @@ impl Page {
     }
 }
 
-// Checkpoint serialization. A page snapshot persists exactly the
-// crawler-visible observables — URL, status, title, interactables, tag
-// sequence — and drops the DOM tree: restored pages answer every query a
-// crawler makes mid-run identically, but `document()` is `None` (nothing in
-// the crawl loop reads it after extraction).
-impl serde::Serialize for Page {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Object(vec![
-            ("url".to_owned(), self.url.to_value()),
-            ("status".to_owned(), self.status.to_value()),
-            ("title".to_owned(), self.title.to_value()),
-            ("interactables".to_owned(), self.shared.interactables().to_value()),
-            ("tags".to_owned(), self.shared.tags().to_value()),
-        ])
-    }
-}
-
-impl serde::Deserialize for Page {
-    fn from_value(value: &serde::Value) -> Result<Self, serde::Error> {
-        let serde::Value::Object(entries) = value else {
-            return Err(serde::Error::custom("expected Page object"));
-        };
-        let interactables: Vec<Interactable> = serde::__field(entries, "interactables")?;
-        let tags: Vec<mak_websim::dom::Tag> = serde::__field(entries, "tags")?;
-        Ok(Page {
-            url: serde::__field(entries, "url")?,
-            status: serde::__field(entries, "status")?,
-            title: serde::__field(entries, "title")?,
-            document: None,
-            shared: Arc::new(DocShared::from_parts(interactables, tags)),
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

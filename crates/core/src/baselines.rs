@@ -67,17 +67,6 @@ impl Crawler for StaticCrawler {
     fn attach_sink(&mut self, sink: mak_obs::sink::SinkHandle) {
         self.inner.attach_sink(sink);
     }
-
-    fn snapshot_state(&self) -> Option<crate::framework::checkpoint::CrawlerState> {
-        self.inner.snapshot_state()
-    }
-
-    fn restore_state(
-        &mut self,
-        state: &crate::framework::checkpoint::CrawlerState,
-    ) -> Result<(), serde::Error> {
-        self.inner.restore_state(state)
-    }
 }
 
 #[cfg(test)]

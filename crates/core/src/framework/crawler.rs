@@ -1,6 +1,5 @@
 //! The crawler interface.
 
-use crate::framework::checkpoint::CrawlerState;
 use mak_browser::client::Browser;
 use mak_browser::cost::CostModel;
 use mak_obs::sink::SinkHandle;
@@ -82,38 +81,12 @@ pub trait Crawler: Send + Sync {
     fn distinct_urls(&self) -> usize;
 
     /// Observability: the engine hands every crawler the run's event sink
-    /// before the first step. Crawlers with internal decision structure
-    /// (MAK's arm choices and deque, the ensemble's agents) emit
-    /// `ActionChosen` / `DequeDepth` and forward the sink to their
-    /// policies; the default implementation ignores it.
+    /// before the first step (a restored session: after its replay).
+    /// Crawlers with internal decision structure (MAK's arm choices and
+    /// deque, the ensemble's agents) emit `ActionChosen` / `DequeDepth` and
+    /// forward the sink to their policies; the default implementation
+    /// ignores it.
     fn attach_sink(&mut self, sink: SinkHandle) {
         let _ = sink;
-    }
-
-    /// Durability: the crawler's complete mutable state as a
-    /// [`CrawlerState`], captured between steps. `None` (the default)
-    /// means the crawler does not support checkpointing and sessions
-    /// running it cannot be snapshotted.
-    fn snapshot_state(&self) -> Option<CrawlerState> {
-        None
-    }
-
-    /// Durability: overwrites this (freshly built) crawler's mutable state
-    /// from a [`CrawlerState`] captured by
-    /// [`snapshot_state`](Crawler::snapshot_state) on a crawler of the
-    /// same configuration. After a successful restore the crawler behaves
-    /// bit-identically to the one that was snapshotted.
-    ///
-    /// # Errors
-    ///
-    /// When `state` is the wrong variant for this crawler or its payload
-    /// is malformed; the crawler is left unusable and must be discarded.
-    /// Never panics on corrupt input.
-    fn restore_state(&mut self, state: &CrawlerState) -> Result<(), serde::Error> {
-        let _ = state;
-        Err(serde::Error::custom(format!(
-            "crawler `{}` does not support checkpoint restore",
-            self.name()
-        )))
     }
 }

@@ -21,8 +21,7 @@ use std::sync::Arc;
 /// The log also remembers which render-cached documents it has absorbed
 /// ([`DocShared::is_cached`]). Their element targets are all in `seen`
 /// already, and `seen` only grows, so absorbing one again examines only
-/// the page URL. The record is a cache, not crawl state: it is not
-/// checkpointed, and a restored log examines each document once more.
+/// the page URL. The record is a cache, not crawl state.
 #[derive(Debug, Default)]
 pub struct LinkLog {
     seen: Interner,
@@ -90,39 +89,6 @@ impl LinkLog {
     /// The URL interner (diagnostics: table size under `MAK_LOG=debug`).
     pub fn interner(&self) -> &Interner {
         &self.seen
-    }
-}
-
-/// Checkpointing: the log serializes as its URLs in insertion order, which
-/// [`Interner::from_ordered`] maps back to identical symbol ids.
-impl serde::Serialize for LinkLog {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Array(
-            self.seen.ordered_strings().map(|s| serde::Value::Str(s.to_owned())).collect(),
-        )
-    }
-}
-
-impl serde::Deserialize for LinkLog {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        let items = match v {
-            serde::Value::Array(items) => items,
-            other => {
-                return Err(serde::Error::custom(format!("expected LinkLog array, got {other:?}")))
-            }
-        };
-        let mut urls = Vec::with_capacity(items.len());
-        for item in items {
-            match item {
-                serde::Value::Str(s) => urls.push(s.as_str()),
-                other => {
-                    return Err(serde::Error::custom(format!(
-                        "expected URL string in LinkLog, got {other:?}"
-                    )))
-                }
-            }
-        }
-        Ok(LinkLog { seen: Interner::from_ordered(urls), documents: FastHashMap::default() })
     }
 }
 

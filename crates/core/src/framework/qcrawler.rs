@@ -11,7 +11,6 @@
 //! among the interactable elements of the page it currently sits on, and
 //! restarts from the seed URL when its trajectory dead-ends.
 
-use crate::framework::checkpoint::{CrawlerState, QState};
 use crate::framework::crawler::{CrawlEnd, Crawler, StepReport};
 use crate::framework::linklog::LinkLog;
 use mak_bandit::gumbel::gumbel_softmax_sample;
@@ -24,7 +23,6 @@ use mak_websim::dom::Interactable;
 use mak_websim::url::Url;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::{Deserialize as _, Serialize as _};
 use std::borrow::Cow;
 
 /// `GET_STATE` of Algorithm 2: maps pages to abstract state identifiers,
@@ -37,26 +35,6 @@ pub trait StateAbstraction: std::fmt::Debug + Send + Sync {
     /// Number of states created so far — the quantity that explodes under
     /// the brittle abstractions of §III-A.
     fn state_count(&self) -> usize;
-
-    /// Checkpointing: a stable tag naming this abstraction (`"webexplor"`,
-    /// `"qexplore"`), recorded in checkpoints so a restore can refuse a
-    /// payload produced by a different abstraction.
-    fn kind(&self) -> &'static str;
-
-    /// Checkpointing: the abstraction's full state table as a value tree.
-    /// Must be a deterministic function of the table's *content* (sorted,
-    /// never hasher-order dependent).
-    fn snapshot_value(&self) -> serde::Value;
-
-    /// Checkpointing: overwrites this (fresh) abstraction's table from a
-    /// [`snapshot_value`](StateAbstraction::snapshot_value) payload, such
-    /// that subsequent `state_of` calls return the ids the snapshotted
-    /// instance would have.
-    ///
-    /// # Errors
-    ///
-    /// When the payload is malformed; never panics on corrupt input.
-    fn restore_value(&mut self, value: &serde::Value) -> Result<(), serde::Error>;
 }
 
 /// `CHOOSE_ACTION` of Algorithm 2.
@@ -319,53 +297,5 @@ impl<S: StateAbstraction> Crawler for QCrawler<S> {
 
     fn distinct_urls(&self) -> usize {
         self.links.len()
-    }
-
-    fn snapshot_state(&self) -> Option<CrawlerState> {
-        let mut visit_counts: Vec<(u64, u64, u64)> =
-            self.visit_counts.iter().map(|(&(s, a), &n)| (s, a, n)).collect();
-        visit_counts.sort_unstable();
-        Some(CrawlerState::Q(QState {
-            abstraction: self.states.kind().to_owned(),
-            states: self.states.snapshot_value(),
-            q: self.q.to_value(),
-            visit_counts,
-            links: self.links.to_value(),
-            rng: self.rng.state().to_vec(),
-            current: self.current.as_ref().map(|(s, p)| (*s, p.to_value())),
-            restarts: self.restarts,
-        }))
-    }
-
-    fn restore_state(&mut self, state: &CrawlerState) -> Result<(), serde::Error> {
-        let CrawlerState::Q(s) = state else {
-            return Err(serde::Error::custom(format!(
-                "crawler `{}` cannot restore a non-Q state",
-                self.name
-            )));
-        };
-        if s.abstraction != self.states.kind() {
-            return Err(serde::Error::custom(format!(
-                "checkpoint holds a `{}` state table, crawler uses `{}`",
-                s.abstraction,
-                self.states.kind()
-            )));
-        }
-        if s.rng.len() != 4 || s.rng.iter().all(|&w| w == 0) {
-            return Err(serde::Error::custom("invalid RNG state in Q checkpoint"));
-        }
-        let mut words = [0u64; 4];
-        words.copy_from_slice(&s.rng);
-        self.states.restore_value(&s.states)?;
-        self.q = QTable::from_value(&s.q)?;
-        self.visit_counts = s.visit_counts.iter().map(|&(st, a, n)| ((st, a), n)).collect();
-        self.links = LinkLog::from_value(&s.links)?;
-        self.rng = StdRng::from_state(words);
-        self.current = match &s.current {
-            Some((st, page)) => Some((*st, Page::from_value(page)?)),
-            None => None,
-        };
-        self.restarts = s.restarts;
-        Ok(())
     }
 }

@@ -20,17 +20,16 @@
 //! pure function of `(app, crawler, seed, config)`, which is the
 //! serving layer's per-session determinism contract (see `mak-serve`).
 
-use crate::framework::checkpoint::{SessionCheckpoint, CHECKPOINT_VERSION};
+use crate::framework::checkpoint::{Progress, SessionCheckpoint, CHECKPOINT_VERSION};
 use crate::framework::crawler::{CrawlEnd, Crawler, StepReport};
 use crate::framework::engine::{CoverageSample, CrawlReport, EngineConfig, TraceEntry};
-use mak_browser::client::{Browser, BrowserState};
+use mak_browser::client::Browser;
 use mak_browser::clock::VirtualClock;
 use mak_obs::event::Event;
 use mak_obs::sink::SinkHandle;
 use mak_obs::span::Phase;
 use mak_websim::coverage::CoverageMode;
 use mak_websim::server::{AppHost, WebApp};
-use serde::{Deserialize as _, Serialize as _};
 use std::sync::Arc;
 
 /// What [`Session::step`] reports back to the driving loop.
@@ -206,7 +205,7 @@ impl<'c> Session<'c> {
     }
 
     fn start(
-        mut host: AppHost,
+        host: AppHost,
         mut crawler: CrawlerSlot<'c>,
         config: &EngineConfig,
         seed: u64,
@@ -215,7 +214,6 @@ impl<'c> Session<'c> {
         let app_name = host.app().name().to_owned();
         let live = host.app().coverage_mode() == CoverageMode::Live;
         let total_declared_lines = host.app().code_model().total_lines();
-        host.set_sink(sink.clone());
         let clock = VirtualClock::with_budget_minutes(config.budget_minutes);
         let budget_ms = clock.budget_ms();
         let mut browser =
@@ -259,63 +257,60 @@ impl<'c> Session<'c> {
         }
     }
 
-    /// Captures the complete state of this session as a self-contained
-    /// [`SessionCheckpoint`]. Call only *between* steps (never from inside
-    /// a step); a session restored from the checkpoint continues
-    /// bit-identically — same report, same trace, and an event stream
-    /// equal to the uninterrupted run's suffix after a `SessionResumed`
-    /// marker.
-    ///
-    /// # Errors
-    ///
-    /// When the crawler does not implement
-    /// [`Crawler::snapshot_state`](crate::framework::crawler::Crawler::snapshot_state).
-    pub fn snapshot(&self) -> Result<SessionCheckpoint, serde::Error> {
-        let crawler = self.crawler.get_ref();
-        let crawler_state = crawler.snapshot_state().ok_or_else(|| {
-            serde::Error::custom(format!(
-                "crawler `{}` does not support checkpointing",
-                crawler.name()
-            ))
-        })?;
-        Ok(SessionCheckpoint {
+    /// Captures this session as a [`SessionCheckpoint`]: its spec, the
+    /// steps taken, and where they led. Call only *between* steps (never
+    /// from inside a step); a session restored from the checkpoint
+    /// continues bit-identically — same report, same trace, and an event
+    /// stream equal to the uninterrupted run's suffix after a
+    /// `SessionResumed` marker.
+    pub fn snapshot(&self) -> SessionCheckpoint {
+        SessionCheckpoint {
             version: CHECKPOINT_VERSION,
             app: self.app_name.clone(),
-            crawler: crawler.name().to_owned(),
+            crawler: self.crawler_name().to_owned(),
             seed: self.seed,
             config: self.config.clone(),
-            step_index: self.step_index,
+            steps: self.step_index,
             done: self.done,
-            next_sample: self.next_sample,
-            series: self.series.clone(),
-            trace: self.trace.clone(),
-            browser: self.browser.snapshot().to_value(),
-            crawler_state,
+            progress: self.progress(),
             spans: self.sink.span_snapshot(),
-        })
+        }
+    }
+
+    /// Where the session stands, read from state it already holds.
+    fn progress(&self) -> Progress {
+        Progress {
+            elapsed_ms: self.browser.clock().elapsed_ms(),
+            interactions: self.browser.interaction_count(),
+            lines: self.browser.host().harness_lines_covered(),
+            distinct_urls: self.crawler.get_ref().distinct_urls() as u64,
+        }
     }
 
     /// Rebuilds a session from a checkpoint over a *shared* application
-    /// model. `crawler` must be freshly built under the checkpoint's name
-    /// and seed (e.g. via [`build_crawler`](crate::spec::build_crawler));
-    /// its mutable state is overwritten from the checkpoint. The restored
-    /// session emits a `SessionResumed` event (not `RunStarted`) and then
-    /// continues bit-identically to the interrupted run.
+    /// model by replaying it: a fresh session, without a sink, takes the
+    /// checkpoint's steps and must arrive at its recorded progress. Then
+    /// `sink` is attached, a `SessionResumed` event (not `RunStarted`) is
+    /// emitted, and the session continues bit-identically to the
+    /// interrupted run. `crawler` must be freshly built under the
+    /// checkpoint's name and seed (e.g. via
+    /// [`build_crawler`](crate::spec::build_crawler)).
     ///
     /// # Errors
     ///
-    /// When the checkpoint's app/crawler names do not match, or any
-    /// payload fails validation. Corrupt checkpoints produce errors, never
-    /// panics.
+    /// When the checkpoint's version is not [`CHECKPOINT_VERSION`], its
+    /// budget or sample interval is not positive and finite, its app/crawler
+    /// names do not match, the replay ends before the
+    /// recorded step count, or the replay's progress differs from the
+    /// recorded one. Each error names the field at fault; corrupt
+    /// checkpoints produce errors, never panics.
     pub fn restore(
         app: Arc<dyn WebApp>,
         crawler: Box<dyn Crawler>,
         checkpoint: &SessionCheckpoint,
         sink: SinkHandle,
     ) -> Result<Session<'static>, serde::Error> {
-        let state = BrowserState::from_value(&checkpoint.browser)?;
-        let host = AppHost::restore_shared(app, &state.host)?;
-        Session::resume(host, CrawlerSlot::Owned(crawler), checkpoint, state, sink)
+        Session::replay(AppHost::with_shared(app), crawler, checkpoint, sink)
     }
 
     /// Owned-model variant of [`Session::restore`], for applications that
@@ -330,18 +325,16 @@ impl<'c> Session<'c> {
         checkpoint: &SessionCheckpoint,
         sink: SinkHandle,
     ) -> Result<Session<'static>, serde::Error> {
-        let state = BrowserState::from_value(&checkpoint.browser)?;
-        let host = AppHost::restore_owned(app, &state.host)?;
-        Session::resume(host, CrawlerSlot::Owned(crawler), checkpoint, state, sink)
+        Session::replay(AppHost::new(app), crawler, checkpoint, sink)
     }
 
-    fn resume(
-        mut host: AppHost,
-        mut crawler: CrawlerSlot<'static>,
+    fn replay(
+        host: AppHost,
+        crawler: Box<dyn Crawler>,
         checkpoint: &SessionCheckpoint,
-        state: BrowserState,
         sink: SinkHandle,
     ) -> Result<Session<'static>, serde::Error> {
+        checkpoint.validate()?;
         if host.app().name() != checkpoint.app {
             return Err(serde::Error::custom(format!(
                 "checkpoint is for app `{}`, given `{}`",
@@ -349,58 +342,56 @@ impl<'c> Session<'c> {
                 host.app().name()
             )));
         }
-        if crawler.get_ref().name() != checkpoint.crawler {
+        if crawler.name() != checkpoint.crawler {
             return Err(serde::Error::custom(format!(
                 "checkpoint is for crawler `{}`, given `{}`",
                 checkpoint.crawler,
-                crawler.get_ref().name()
+                crawler.name()
             )));
         }
+        let mut session = Session::start(
+            host,
+            CrawlerSlot::Owned(crawler),
+            &checkpoint.config,
+            checkpoint.seed,
+            SinkHandle::none(),
+        );
+        // The budget bounds this loop: a step count past the session's end
+        // stops at the end, however large it is.
+        for taken in 0..checkpoint.steps {
+            if !session.step().is_running() {
+                return Err(serde::Error::custom(format!(
+                    "`steps`: the checkpoint records {}, but the session ends after {taken}",
+                    checkpoint.steps
+                )));
+            }
+        }
+        if checkpoint.done && session.step().is_running() {
+            return Err(serde::Error::custom(format!(
+                "`done`: the checkpoint records a session that ended after {} steps, \
+                 but the replay continues",
+                checkpoint.steps
+            )));
+        }
+        checkpoint.progress.check(&session.progress())?;
+
         // Seed the span allocator before any clone is distributed, so the
         // browser, host, and crawler all link into the continued id space.
         let sink = match checkpoint.spans {
             Some((next_id, now_ms)) => sink.with_spans_restored(next_id, now_ms),
             None => sink,
         };
-        let live = host.app().coverage_mode() == CoverageMode::Live;
-        let total_declared_lines = host.app().code_model().total_lines();
-        host.set_sink(sink.clone());
-        let mut browser = Browser::restore(
-            host,
-            checkpoint.seed,
-            checkpoint.config.cost.clone(),
-            checkpoint.config.faults.clone(),
-            &state,
-        );
-        browser.set_sink(sink.clone());
-        crawler.get().restore_state(&checkpoint.crawler_state)?;
-        crawler.get().attach_sink(sink.clone());
-
-        sink.emit_with(|| Event::SessionResumed {
+        session.browser.set_sink(sink.clone());
+        session.crawler.get().attach_sink(sink.clone());
+        session.sink = sink;
+        session.sink.emit_with(|| Event::SessionResumed {
             app: checkpoint.app.clone(),
             crawler: checkpoint.crawler.clone(),
             seed: checkpoint.seed,
-            step: checkpoint.step_index,
-            t_ms: browser.clock().elapsed_ms(),
+            step: checkpoint.steps,
+            t_ms: session.browser.clock().elapsed_ms(),
         });
-
-        Ok(Session {
-            crawler,
-            browser,
-            sink,
-            app_name: checkpoint.app.clone(),
-            seed: checkpoint.seed,
-            live,
-            record_trace: checkpoint.config.record_trace,
-            sample_interval_secs: checkpoint.config.sample_interval_secs,
-            total_declared_lines,
-            series: checkpoint.series.clone(),
-            next_sample: checkpoint.next_sample,
-            trace: checkpoint.trace.clone(),
-            step_index: checkpoint.step_index,
-            done: checkpoint.done,
-            config: checkpoint.config.clone(),
-        })
+        Ok(session)
     }
 
     /// Performs one engine iteration: charge the crawler's policy
@@ -576,6 +567,7 @@ mod tests {
     use crate::framework::engine::run_crawl;
     use crate::spec::build_crawler;
     use mak_websim::apps;
+    use serde::{Deserialize as _, Serialize as _};
 
     fn short() -> EngineConfig {
         EngineConfig::with_budget_minutes(1.0)
@@ -676,7 +668,7 @@ mod tests {
             for _ in 0..7 {
                 assert!(session.step().is_running(), "{crawler} ended too early");
             }
-            let checkpoint = session.snapshot().unwrap();
+            let checkpoint = session.snapshot();
             drop(session);
 
             // Round-trip through JSON: what the serving layer writes to
@@ -722,7 +714,7 @@ mod tests {
             for _ in 0..9 {
                 assert!(session.step().is_running());
             }
-            let checkpoint = session.snapshot().unwrap();
+            let checkpoint = session.snapshot();
             let restored = Session::restore(
                 app,
                 build_crawler(crawler, seed).unwrap(),
@@ -735,6 +727,27 @@ mod tests {
     }
 
     #[test]
+    fn a_finished_session_restores_finished() {
+        let cfg = EngineConfig::with_budget_minutes(0.25);
+        let app = apps::build_shared("vanilla").unwrap();
+        let mut session =
+            Session::with_shared_app(app.clone(), build_crawler("random", 2).unwrap(), &cfg, 2);
+        session.run();
+        let checkpoint = session.snapshot();
+        assert!(checkpoint.done);
+        let uninterrupted = session.finish();
+        let restored = Session::restore(
+            app,
+            build_crawler("random", 2).unwrap(),
+            &checkpoint,
+            SinkHandle::none(),
+        )
+        .unwrap();
+        assert!(restored.is_finished());
+        assert_eq!(restored.finish(), uninterrupted);
+    }
+
+    #[test]
     fn restore_refuses_mismatched_identity() {
         let cfg = short();
         let mut session = Session::new(
@@ -744,7 +757,7 @@ mod tests {
             3,
         );
         session.step();
-        let checkpoint = session.snapshot().unwrap();
+        let checkpoint = session.snapshot();
         let wrong_app = Session::restore(
             apps::build_shared("vanilla").unwrap(),
             build_crawler("mak", 3).unwrap(),

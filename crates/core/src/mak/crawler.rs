@@ -1,6 +1,5 @@
 //! The MAK crawler (§IV) and its design-choice variants.
 
-use crate::framework::checkpoint::{CrawlerState, MakState};
 use crate::framework::crawler::{CrawlEnd, Crawler, StepReport};
 use crate::framework::linklog::LinkLog;
 use crate::mak::deque::{Arm, LeveledDeque};
@@ -13,7 +12,6 @@ use mak_obs::sink::SinkHandle;
 use mak_websim::url::Url;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::{Deserialize as _, Serialize as _};
 use std::borrow::Cow;
 
 /// Multi-Armed Krawler: stateless, Exp3.1-driven, link-coverage rewarded.
@@ -271,38 +269,6 @@ impl Crawler for MakCrawler {
     fn attach_sink(&mut self, sink: SinkHandle) {
         self.policy.attach_sink(sink.clone());
         self.sink = sink;
-    }
-
-    fn snapshot_state(&self) -> Option<CrawlerState> {
-        Some(CrawlerState::Mak(MakState {
-            policy: self.policy.to_value(),
-            reward: self.reward.to_value(),
-            deque: self.deque.to_value(),
-            links: self.links.to_value(),
-            rng: self.rng.state().to_vec(),
-            started: self.started,
-        }))
-    }
-
-    fn restore_state(&mut self, state: &CrawlerState) -> Result<(), serde::Error> {
-        let CrawlerState::Mak(s) = state else {
-            return Err(serde::Error::custom(format!(
-                "crawler `{}` cannot restore a non-MAK state",
-                self.name
-            )));
-        };
-        if s.rng.len() != 4 || s.rng.iter().all(|&w| w == 0) {
-            return Err(serde::Error::custom("invalid RNG state in MAK checkpoint"));
-        }
-        let mut words = [0u64; 4];
-        words.copy_from_slice(&s.rng);
-        self.policy = ArmPolicy::from_value(&s.policy)?;
-        self.reward = StandardizedReward::from_value(&s.reward)?;
-        self.deque = LeveledDeque::from_value(&s.deque)?;
-        self.links = LinkLog::from_value(&s.links)?;
-        self.rng = StdRng::from_state(words);
-        self.started = s.started;
-        Ok(())
     }
 }
 

@@ -160,68 +160,6 @@ impl LeveledDeque {
     }
 }
 
-/// Checkpointing: the pool serializes as its per-level element queues plus
-/// the dedup interner's strings in insertion order. Empty trailing levels
-/// are preserved so `level_count` (and the `DequeDepth` event it feeds) is
-/// bit-identical after a restore.
-impl serde::Serialize for LeveledDeque {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Object(vec![
-            (
-                "levels".to_owned(),
-                serde::Value::Array(
-                    self.levels
-                        .iter()
-                        .map(|deque| {
-                            serde::Value::Array(
-                                deque.iter().map(serde::Serialize::to_value).collect(),
-                            )
-                        })
-                        .collect(),
-                ),
-            ),
-            (
-                "known".to_owned(),
-                serde::Value::Array(
-                    self.known.ordered_strings().map(|s| serde::Value::Str(s.to_owned())).collect(),
-                ),
-            ),
-        ])
-    }
-}
-
-impl serde::Deserialize for LeveledDeque {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        let raw_levels: Vec<Vec<Interactable>> = match v.get("levels") {
-            Some(levels) => serde::Deserialize::from_value(levels)?,
-            None => return Err(serde::Error::custom("LeveledDeque missing `levels`")),
-        };
-        let raw_known: Vec<String> = match v.get("known") {
-            Some(known) => serde::Deserialize::from_value(known)?,
-            None => return Err(serde::Error::custom("LeveledDeque missing `known`")),
-        };
-        let known = Interner::from_ordered(&raw_known);
-        let mut len = 0;
-        let mut levels: Vec<VecDeque<Interactable>> = Vec::with_capacity(raw_levels.len());
-        for level in raw_levels {
-            // Every pooled element must have been interned once: a payload
-            // whose queues and dedup table disagree is corrupt, not a pool
-            // state any sequence of operations could have produced.
-            for el in &level {
-                if known.get(&el.signature()).is_none() {
-                    return Err(serde::Error::custom(format!(
-                        "pooled element `{}` missing from the dedup interner",
-                        el.signature()
-                    )));
-                }
-            }
-            len += level.len();
-            levels.push(level.into_iter().collect());
-        }
-        Ok(LeveledDeque { levels, known, len })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

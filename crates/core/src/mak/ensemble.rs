@@ -9,7 +9,6 @@
 //! rewards of its own steps, so agents can settle on *different* arm mixes
 //! — a soft division of labour between breadth, depth, and random probing.
 
-use crate::framework::checkpoint::{CrawlerState, EnsembleState};
 use crate::framework::crawler::{CrawlEnd, Crawler, StepReport};
 use crate::framework::linklog::LinkLog;
 use crate::mak::crawler::ingest;
@@ -22,7 +21,6 @@ use mak_obs::event::Event;
 use mak_obs::sink::SinkHandle;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::{Deserialize as _, Serialize as _};
 use std::borrow::Cow;
 
 /// A round-robin ensemble of independent MAK policies over a shared pool.
@@ -160,51 +158,6 @@ impl Crawler for EnsembleCrawler {
             policy.attach_sink(sink.clone());
         }
         self.sink = sink;
-    }
-
-    fn snapshot_state(&self) -> Option<CrawlerState> {
-        Some(CrawlerState::Ensemble(EnsembleState {
-            policies: self.policies.iter().map(|p| p.to_value()).collect(),
-            rewards: self.rewards.iter().map(|r| r.to_value()).collect(),
-            next_agent: self.next_agent as u64,
-            deque: self.deque.to_value(),
-            links: self.links.to_value(),
-            rng: self.rng.state().to_vec(),
-            started: self.started,
-        }))
-    }
-
-    fn restore_state(&mut self, state: &CrawlerState) -> Result<(), serde::Error> {
-        let CrawlerState::Ensemble(s) = state else {
-            return Err(serde::Error::custom(format!(
-                "crawler `{}` cannot restore a non-ensemble state",
-                self.name
-            )));
-        };
-        if s.policies.len() != self.policies.len() {
-            return Err(serde::Error::custom(format!(
-                "checkpoint has {} agents, crawler has {}",
-                s.policies.len(),
-                self.policies.len()
-            )));
-        }
-        if s.rewards.len() != s.policies.len() || s.next_agent as usize >= s.policies.len() {
-            return Err(serde::Error::custom("inconsistent ensemble checkpoint"));
-        }
-        if s.rng.len() != 4 || s.rng.iter().all(|&w| w == 0) {
-            return Err(serde::Error::custom("invalid RNG state in ensemble checkpoint"));
-        }
-        let mut words = [0u64; 4];
-        words.copy_from_slice(&s.rng);
-        self.policies = s.policies.iter().map(Exp31::from_value).collect::<Result<Vec<_>, _>>()?;
-        self.rewards =
-            s.rewards.iter().map(StandardizedReward::from_value).collect::<Result<Vec<_>, _>>()?;
-        self.next_agent = s.next_agent as usize;
-        self.deque = LeveledDeque::from_value(&s.deque)?;
-        self.links = LinkLog::from_value(&s.links)?;
-        self.rng = StdRng::from_state(words);
-        self.started = s.started;
-        Ok(())
     }
 }
 

@@ -137,42 +137,6 @@ impl ArmPolicy {
     }
 }
 
-/// Checkpointing: externally tagged by the policy's short name, with the
-/// learner's full mutable state (including its fixed hyper-parameters) as
-/// the payload, so a restore needs no out-of-band configuration.
-impl serde::Serialize for ArmPolicy {
-    fn to_value(&self) -> serde::Value {
-        let payload = match self {
-            ArmPolicy::Exp31(p) => p.to_value(),
-            ArmPolicy::Exp3(p) => p.to_value(),
-            ArmPolicy::EpsilonGreedy(p) => p.to_value(),
-            ArmPolicy::Ucb1(p) => p.to_value(),
-            ArmPolicy::Thompson(p) => p.to_value(),
-            ArmPolicy::Uniform => serde::Value::Null,
-        };
-        serde::Value::Object(vec![(self.name().to_owned(), payload)])
-    }
-}
-
-impl serde::Deserialize for ArmPolicy {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        let entries =
-            v.as_object().ok_or_else(|| serde::Error::custom("expected ArmPolicy object"))?;
-        let [(tag, payload)] = entries else {
-            return Err(serde::Error::custom("expected single-variant ArmPolicy object"));
-        };
-        Ok(match tag.as_str() {
-            "exp31" => ArmPolicy::Exp31(serde::Deserialize::from_value(payload)?),
-            "exp3" => ArmPolicy::Exp3(serde::Deserialize::from_value(payload)?),
-            "epsilon" => ArmPolicy::EpsilonGreedy(serde::Deserialize::from_value(payload)?),
-            "ucb1" => ArmPolicy::Ucb1(serde::Deserialize::from_value(payload)?),
-            "thompson" => ArmPolicy::Thompson(serde::Deserialize::from_value(payload)?),
-            "uniform" => ArmPolicy::Uniform,
-            other => return Err(serde::Error::custom(format!("unknown arm policy `{other}`"))),
-        })
-    }
-}
-
 /// How MAK turns raw link-coverage increments into policy rewards.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RewardKind {

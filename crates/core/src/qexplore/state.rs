@@ -36,36 +36,6 @@ impl StateAbstraction for QExploreState {
     fn state_count(&self) -> usize {
         self.by_hash.len()
     }
-
-    fn kind(&self) -> &'static str {
-        "qexplore"
-    }
-
-    fn snapshot_value(&self) -> serde::Value {
-        let mut pairs: Vec<(u64, u64)> = self.by_hash.iter().map(|(&h, &id)| (h, id)).collect();
-        pairs.sort_unstable();
-        serde::Serialize::to_value(&pairs)
-    }
-
-    fn restore_value(&mut self, value: &serde::Value) -> Result<(), serde::Error> {
-        let pairs: Vec<(u64, u64)> = serde::Deserialize::from_value(value)?;
-        // State ids are handed out densely (`next_id = len` at insertion),
-        // so a valid table's ids are exactly a permutation of `0..len`.
-        let len = pairs.len() as u64;
-        let mut seen_ids = vec![false; pairs.len()];
-        for &(_, id) in &pairs {
-            if id >= len || seen_ids[id as usize] {
-                return Err(serde::Error::custom("QExplore state ids are not a dense set"));
-            }
-            seen_ids[id as usize] = true;
-        }
-        let by_hash: FastHashMap<u64, u64> = pairs.into_iter().collect();
-        if by_hash.len() as u64 != len {
-            return Err(serde::Error::custom("duplicate hash in QExplore state table"));
-        }
-        self.by_hash = by_hash;
-        Ok(())
-    }
 }
 
 #[cfg(test)]

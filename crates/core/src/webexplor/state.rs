@@ -4,7 +4,6 @@ use crate::framework::qcrawler::StateAbstraction;
 use mak_browser::page::Page;
 use mak_intern::FastHashMap;
 use mak_websim::dom::{DocShared, Tag};
-use serde::Serialize as _;
 use std::fmt::Write;
 use std::sync::Arc;
 
@@ -85,64 +84,6 @@ impl StateAbstraction for WebExplorState {
 
     fn state_count(&self) -> usize {
         self.entries.len()
-    }
-
-    fn kind(&self) -> &'static str {
-        "webexplor"
-    }
-
-    fn snapshot_value(&self) -> serde::Value {
-        // Entries carry only their tag sequence; the owning URL lives in
-        // the index. Emit one `{url, tags}` object per entry, in state-id
-        // order, so the payload is a pure function of the table's content.
-        let mut urls: Vec<&str> = vec![""; self.entries.len()];
-        for (url, idxs) in &self.by_url {
-            for &i in idxs {
-                urls[i] = url;
-            }
-        }
-        serde::Value::Array(
-            self.entries
-                .iter()
-                .zip(&urls)
-                .map(|(entry, url)| {
-                    serde::Value::Object(vec![
-                        ("url".to_owned(), serde::Value::Str((*url).to_owned())),
-                        ("tags".to_owned(), entry.shared.tags().to_value()),
-                    ])
-                })
-                .collect(),
-        )
-    }
-
-    fn restore_value(&mut self, value: &serde::Value) -> Result<(), serde::Error> {
-        let items = match value {
-            serde::Value::Array(items) => items,
-            other => {
-                return Err(serde::Error::custom(format!(
-                    "expected WebExplor state array, got {other:?}"
-                )))
-            }
-        };
-        let mut entries = Vec::with_capacity(items.len());
-        let mut by_url: FastHashMap<String, Vec<usize>> = FastHashMap::default();
-        for (idx, item) in items.iter().enumerate() {
-            let obj = item
-                .as_object()
-                .ok_or_else(|| serde::Error::custom("expected WebExplor state entry object"))?;
-            let url: String = serde::__field(obj, "url")?;
-            let tags: Vec<Tag> = serde::__field(obj, "tags")?;
-            by_url.entry(url).or_default().push(idx);
-            // Restored entries hold a fresh derivation: `state_of`'s
-            // pointer-equality fast path misses, but identical tag
-            // sequences compare similar, so the returned ids — and hence
-            // the crawl — are unchanged.
-            entries.push(StateEntry { shared: Arc::new(DocShared::from_parts(Vec::new(), tags)) });
-        }
-        self.entries = entries;
-        self.by_url = by_url;
-        self.url_key.clear();
-        Ok(())
     }
 }
 

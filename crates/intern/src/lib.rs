@@ -15,12 +15,9 @@
 //! count, or platform. Two runs that intern the same strings in the same
 //! order therefore assign identical ids, which keeps golden reports, traces
 //! and the run cache bit-identical. Symbols are only meaningful relative to
-//! the interner that produced them and are never serialized directly;
-//! checkpoints persist the insertion-ordered string sequence
-//! ([`Interner::ordered_strings`]) and re-intern it on restore
-//! ([`Interner::from_ordered`]), which re-derives identical ids. Nothing
-//! ever iterates the internal `HashMap`, so its iteration order cannot leak
-//! into results.
+//! the interner that produced them and are never serialized. Nothing ever
+//! iterates the internal `HashMap`, so its iteration order cannot leak into
+//! results.
 //!
 //! # Fast hashing
 //!
@@ -216,23 +213,9 @@ impl Interner {
     }
 
     /// The interned strings in insertion order — index `n` is the string
-    /// behind `Symbol(n)`. This is the checkpoint form of an interner:
-    /// feeding the sequence back through [`Interner::from_ordered`]
-    /// reproduces identical symbol assignments.
+    /// behind `Symbol(n)`.
     pub fn ordered_strings(&self) -> impl Iterator<Item = &str> {
         self.strings.iter().map(|s| s.as_ref())
-    }
-
-    /// Rebuilds an interner from strings captured by
-    /// [`Interner::ordered_strings`]. Because ids are insertion-order dense,
-    /// re-interning in the same order re-assigns the same ids, so symbols
-    /// recorded elsewhere in a checkpoint stay valid.
-    pub fn from_ordered<S: AsRef<str>>(strings: impl IntoIterator<Item = S>) -> Self {
-        let mut interner = Interner::new();
-        for s in strings {
-            interner.intern(s.as_ref());
-        }
-        interner
     }
 }
 

@@ -13,13 +13,16 @@
 //! the same directory, is fsync'd, renamed over the final name, and the
 //! directory is fsync'd — a checkpoint is either the complete old version
 //! or the complete new one, never a torn mix. Reads trust nothing: a bad
-//! header, length mismatch, CRC mismatch, or undecodable payload moves
-//! the file into the `quarantine/` subdirectory (preserved for forensics,
-//! never retried) and is counted, and recovery continues with the
-//! remaining sessions. Corruption is an expected input, not a panic.
+//! header, length mismatch, CRC mismatch, unsupported checkpoint version,
+//! or undecodable payload moves the file into the `quarantine/`
+//! subdirectory (preserved for forensics, never retried) and is counted,
+//! and recovery continues with the remaining sessions. A payload that
+//! decodes is still only a claim: recovery replays it, and a replay that
+//! does not arrive where the checkpoint says quarantines the file too.
+//! Corruption is an expected input, not a panic.
 
 use crate::service::SessionId;
-use mak::framework::checkpoint::SessionCheckpoint;
+use mak::framework::checkpoint::{SessionCheckpoint, CHECKPOINT_VERSION};
 use std::fs::{self, File};
 use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
@@ -55,26 +58,22 @@ pub fn crc32(bytes: &[u8]) -> u32 {
 
 /// A parked session as persisted: the engine-level [`SessionCheckpoint`]
 /// plus the service-side identity needed to re-admit it — the original
-/// submission's id, tenant, and registry names (the spec strings are
-/// what [`build_crawler`](mak::spec::build_crawler) and
-/// [`apps::build_shared`](mak_websim::apps::build_shared) resolve).
+/// submission's id and tenant. The checkpoint's app and crawler names are
+/// what [`apps::build_shared`](mak_websim::apps::build_shared) and
+/// [`build_crawler`](mak::spec::build_crawler) resolve.
 #[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct StoredSession {
     /// The service-assigned session id at submission time.
     pub id: SessionId,
     /// The submitting tenant (re-admitted under its current quota).
     pub tenant: String,
-    /// The spec's app name (registry key).
-    pub app: String,
-    /// The spec's crawler name (factory key).
-    pub crawler: String,
     /// Whether the submission asked for its JSONL event stream. A
     /// recovered session records from the resume point: its stream is
     /// `SessionResumed` plus the uninterrupted run's suffix.
     pub record_events: bool,
     /// Whether the submission asked for phase spans.
     pub record_spans: bool,
-    /// The complete mid-crawl engine state.
+    /// The session's spec and progress.
     pub checkpoint: SessionCheckpoint,
 }
 
@@ -88,7 +87,8 @@ pub struct CheckpointStats {
     pub bytes: u64,
     /// Sessions successfully restored from disk.
     pub restores: u64,
-    /// Files quarantined as corrupt (bad header, CRC, or payload).
+    /// Files quarantined as corrupt (bad header, CRC, or payload) or
+    /// unrebuildable (a replay that fails its checkpoint).
     pub corrupt_quarantined: u64,
     /// Writes that failed at the filesystem layer (counted, never fatal
     /// to the session being checkpointed).
@@ -219,8 +219,8 @@ impl CheckpointStore {
 
     /// Quarantines a session's checkpoint that verified on disk but
     /// cannot be rebuilt (its app or crawler left the registry, or the
-    /// engine rejected the state). Counted alongside CRC-level
-    /// corruption: either way the file is evidence, not state.
+    /// replay did not arrive where the checkpoint says). Counted alongside
+    /// CRC-level corruption: either way the file is evidence, not state.
     pub fn quarantine(&self, id: SessionId, _reason: &str) {
         let file = Self::file_name(id);
         let _ = fs::rename(self.path_for(id), self.dir.join("quarantine").join(file));
@@ -299,7 +299,21 @@ impl CheckpointStore {
             return Err(format!("crc mismatch: {crc_actual:08x} != {crc_expected:08x}"));
         }
         let text = std::str::from_utf8(payload).map_err(|_| "non-UTF-8 payload".to_owned())?;
-        serde_json::from_str(text).map_err(|e| format!("undecodable payload: {e}"))
+        let value: serde::Value =
+            serde_json::from_str(text).map_err(|e| format!("undecodable payload: {e}"))?;
+        // A checkpoint of another schema fails on its version, not on
+        // whichever field the two schemas disagree about.
+        let version = value.get("checkpoint").and_then(|c| c.get("version"));
+        if version != Some(&serde::Value::UInt(u64::from(CHECKPOINT_VERSION))) {
+            let found = version.map_or_else(
+                || "none".to_owned(),
+                |v| serde_json::to_string(v).unwrap_or_default(),
+            );
+            return Err(format!(
+                "unsupported checkpoint version {found} (expected {CHECKPOINT_VERSION})"
+            ));
+        }
+        serde::Deserialize::from_value(&value).map_err(|e| format!("undecodable payload: {e}"))
     }
 
     /// Loads every live checkpoint, in session-id (file-name) order.
@@ -348,11 +362,9 @@ mod tests {
         StoredSession {
             id,
             tenant: "t".into(),
-            app: "addressbook".into(),
-            crawler: "mak".into(),
             record_events: false,
             record_spans: false,
-            checkpoint: session.snapshot().unwrap(),
+            checkpoint: session.snapshot(),
         }
     }
 
@@ -480,11 +492,9 @@ mod tests {
             .save(&StoredSession {
                 id: 0,
                 tenant: "t".into(),
-                app: "addressbook".into(),
-                crawler: "mak".into(),
                 record_events: false,
                 record_spans: false,
-                checkpoint: live.snapshot().unwrap(),
+                checkpoint: live.snapshot(),
             })
             .unwrap();
         drop(live);
@@ -493,7 +503,7 @@ mod tests {
         };
         let resumed = Session::restore(
             app,
-            build_crawler(&back.crawler, back.checkpoint.seed).unwrap(),
+            build_crawler(&back.checkpoint.crawler, back.checkpoint.seed).unwrap(),
             &back.checkpoint,
             SinkHandle::none(),
         )

@@ -28,10 +28,11 @@
 //!   [`CrawlService::drain`](service::CrawlService::drain) parks all
 //!   pending work and
 //!   [`CrawlService::recover`](service::CrawlService::recover) re-admits
-//!   it — in the same or a fresh process, after a graceful stop or a
-//!   `kill -9` — finishing bit-identically to an uninterrupted run
-//!   (`tests/recovery.rs`); corrupt files are quarantined, never
-//!   trusted.
+//!   it by replaying each session's recorded steps — in the same or a
+//!   fresh process, after a graceful stop or a `kill -9` — finishing
+//!   bit-identically to an uninterrupted run (`tests/recovery.rs`);
+//!   corrupt files, and files whose replay does not arrive where they
+//!   say, are quarantined, never trusted.
 //!
 //! ## Determinism contract
 //!

@@ -52,7 +52,7 @@ const STEP_LATENCY_BUCKETS: [f64; 10] = [
 /// The service's metrics registry plus the fold methods the service
 /// calls. Constructed enabled (the default) or disabled — when disabled
 /// every fold is a skipped branch and snapshots are empty, which is how
-/// the load bench measures the cost of collection itself.
+/// the benchmark measures the cost of collection itself.
 pub struct ServiceMetrics {
     registry: MetricsRegistry,
     enabled: bool,

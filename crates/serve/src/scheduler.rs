@@ -56,10 +56,6 @@ pub enum ScheduleOrder {
 pub(crate) struct SessionTask {
     pub id: u64,
     pub tenant: String,
-    /// The submission's registry names, carried for checkpoint metadata
-    /// (a parked session must record what to rebuild from).
-    pub app: String,
-    pub crawler: String,
     pub session: Session<'static>,
     /// Buffer behind the session's event sink when the submission asked
     /// for its JSONL stream.
@@ -75,16 +71,14 @@ pub(crate) struct SessionTask {
 
 impl SessionTask {
     /// The task as the checkpoint store persists it.
-    pub(crate) fn to_stored(&self) -> Result<StoredSession, serde::Error> {
-        Ok(StoredSession {
+    pub(crate) fn to_stored(&self) -> StoredSession {
+        StoredSession {
             id: self.id,
             tenant: self.tenant.clone(),
-            app: self.app.clone(),
-            crawler: self.crawler.clone(),
             record_events: self.record_events,
             record_spans: self.record_spans,
-            checkpoint: self.session.snapshot()?,
-        })
+            checkpoint: self.session.snapshot(),
+        }
     }
 }
 
@@ -111,7 +105,8 @@ pub(crate) struct FinishedTask {
 
 /// Wall-clock step-latency samples, one per scheduling slice, weighted
 /// by the number of steps the slice ran. Collected only when the service
-/// asks for latency sampling (the load bench does; tests do not).
+/// asks for latency sampling (the benchmark's serve workloads do; tests
+/// do not).
 #[derive(Debug, Default)]
 pub struct StepLatencies {
     /// `(nanoseconds per step, steps in the slice)` pairs.
@@ -133,8 +128,8 @@ impl StepLatencies {
     /// The `q`-quantile (0.0–1.0, clamped) of per-step latency in
     /// nanoseconds, weighted by steps. `None` when there are no samples
     /// with positive weight: a quantile of nothing is not zero, and
-    /// callers (the load bench, the SLO gate) must treat the two cases
-    /// differently. Zero-weight samples carry no steps and are ignored.
+    /// callers must treat the two cases differently. Zero-weight samples
+    /// carry no steps and are ignored.
     pub fn quantile_ns(&self, q: f64) -> Option<u64> {
         let mut sorted: Vec<(u64, u32)> =
             self.samples.iter().copied().filter(|&(_, n)| n > 0).collect();
@@ -499,10 +494,8 @@ fn run_slice(pool: &Pool, me: usize, mut task: SessionTask, latencies: &mut Step
                 // end of a slice is exactly that. Write failures are
                 // counted by the store and never fatal to the session —
                 // durability degrades, the crawl does not.
-                if let Ok(stored) = task.to_stored() {
-                    task.last_ckpt_steps = ran_total;
-                    let _ = hook.store.save(&stored);
-                }
+                task.last_ckpt_steps = ran_total;
+                let _ = hook.store.save(&task.to_stored());
             }
         }
         pool.locals[me].lock().unwrap().push_back(task);

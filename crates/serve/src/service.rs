@@ -55,14 +55,15 @@ pub struct ServiceConfig {
     /// [`ScheduleOrder`].
     pub order: ScheduleOrder,
     /// Record wall-clock per-step latency samples during drains (the
-    /// load bench turns this on; it costs two `Instant` reads per slice).
+    /// benchmark's serve workloads turn this on; it costs two `Instant`
+    /// reads per slice).
     pub sample_latency: bool,
     /// Record a throughput [`Checkpoint`] every N session completions
-    /// during drains (0 = off) — the load bench's time-series feed.
+    /// during drains (0 = off) — the benchmark's drain-rate feed.
     pub checkpoint_every: u64,
     /// Fold session outcomes into the service's [`ServiceMetrics`]
-    /// registry. On by default; the load bench turns it off to measure
-    /// the cost of collection itself.
+    /// registry. On by default; the benchmark turns it off to measure the
+    /// cost of collection itself.
     pub collect_metrics: bool,
     /// Directory for durable session checkpoints (`None` = durability
     /// off). When set, sessions checkpoint every
@@ -299,8 +300,6 @@ impl CrawlService {
         self.pending.push(SessionTask {
             id,
             tenant: spec.tenant,
-            app: spec.app,
-            crawler: spec.crawler,
             session,
             events,
             record_events: spec.record_events,
@@ -314,9 +313,7 @@ impl CrawlService {
         // replays from step zero, bit-identically. Best-effort like the
         // cadence writes: a transient failure is counted, not fatal.
         if let Some(store) = &self.store {
-            if let Ok(stored) = self.pending.last().expect("just pushed").to_stored() {
-                let _ = store.save(&stored);
-            }
+            let _ = store.save(&self.pending.last().expect("just pushed").to_stored());
         }
         Ok(id)
     }
@@ -332,7 +329,8 @@ impl CrawlService {
     }
 
     /// Sessions aborted (panicked mid-step) over the service lifetime.
-    /// Stays zero for in-tree crawlers; the load bench asserts on it.
+    /// Stays zero for in-tree crawlers; the benchmark counts any as a
+    /// failure.
     pub fn aborted(&self) -> u64 {
         self.aborted_total
     }
@@ -446,9 +444,9 @@ impl CrawlService {
         });
     }
 
-    /// Checkpoints and parks every in-flight session: each one's full
-    /// mid-crawl state goes durably to the checkpoint directory, its
-    /// quota slot is released, and the service's pending queue empties.
+    /// Checkpoints and parks every in-flight session: each one's spec and
+    /// step count go durably to the checkpoint directory, its quota slot
+    /// is released, and the service's pending queue empties.
     /// The graceful half of crash recovery — a later
     /// [`recover`](Self::recover) (same process or the next one) picks
     /// the sessions back up bit-identically.
@@ -458,17 +456,16 @@ impl CrawlService {
     /// # Errors
     ///
     /// Fails if no [`checkpoint_dir`](ServiceConfig::checkpoint_dir) is
-    /// configured, or on serialization/filesystem failures — in which
-    /// case already-parked sessions are on disk and the failing session
-    /// (plus the rest) remain in flight, so nothing is lost either way.
+    /// configured, or on filesystem failures — in which case
+    /// already-parked sessions are on disk and the failing session (plus
+    /// the rest) remain in flight, so nothing is lost either way.
     pub fn drain(&mut self) -> io::Result<u64> {
         let Some(store) = self.store.clone() else {
             return Err(io::Error::other("drain requires ServiceConfig::checkpoint_dir"));
         };
         let mut parked = 0usize;
         let result: io::Result<()> = self.pending.iter().try_for_each(|task| {
-            let stored = task.to_stored().map_err(io::Error::other)?;
-            store.save(&stored)?;
+            store.save(&task.to_stored())?;
             parked += 1;
             Ok(())
         });
@@ -486,8 +483,9 @@ impl CrawlService {
     /// each checkpoint is CRC-verified (corrupt files are quarantined
     /// and counted, never trusted, never fatal), its tenant re-admitted
     /// under the *current* quota (rejections leave the checkpoint on
-    /// disk for a later attempt), and the session restored to the exact
-    /// mid-crawl state it parked with — its remaining run is
+    /// disk for a later attempt), and the session rebuilt by replaying
+    /// its recorded steps, which must arrive at its recorded progress
+    /// (a replay that does not is quarantined) — its remaining run is
     /// bit-identical to never having stopped.
     ///
     /// # Errors
@@ -537,20 +535,23 @@ impl CrawlService {
 
     fn readmit(&mut self, stored: StoredSession) -> Result<SessionId, ReadmitError> {
         let id = stored.id;
-        let model = match self.models.get(&stored.app) {
+        let checkpoint = &stored.checkpoint;
+        let model = match self.models.get(&checkpoint.app) {
             Some(model) => model.clone(),
-            None => match apps::build_shared(&stored.app) {
+            None => match apps::build_shared(&checkpoint.app) {
                 Some(model) => {
-                    self.models.insert(stored.app.clone(), model.clone());
+                    self.models.insert(checkpoint.app.clone(), model.clone());
                     model
                 }
                 None => {
-                    return Err(ReadmitError::Invalid(id, format!("unknown app `{}`", stored.app)))
+                    let reason = format!("unknown app `{}`", checkpoint.app);
+                    return Err(ReadmitError::Invalid(id, reason));
                 }
             },
         };
-        let Some(crawler) = build_crawler(&stored.crawler, stored.checkpoint.seed) else {
-            return Err(ReadmitError::Invalid(id, format!("unknown crawler `{}`", stored.crawler)));
+        let Some(crawler) = build_crawler(&checkpoint.crawler, checkpoint.seed) else {
+            let reason = format!("unknown crawler `{}`", checkpoint.crawler);
+            return Err(ReadmitError::Invalid(id, reason));
         };
         if let Err(err) = self.ledger.admit(&stored.tenant) {
             return Err(ReadmitError::Rejected(id, err));
@@ -564,7 +565,9 @@ impl CrawlService {
         } else {
             (SinkHandle::none(), None)
         };
-        let session = match Session::restore(model, crawler, &stored.checkpoint, sink) {
+        // The replay runs here, on the recovering thread; DESIGN.md §15
+        // weighs this against replaying in each session's first slice.
+        let session = match Session::restore(model, crawler, checkpoint, sink) {
             Ok(session) => session,
             Err(err) => {
                 self.ledger.release(&stored.tenant);
@@ -574,8 +577,6 @@ impl CrawlService {
         self.pending.push(SessionTask {
             id,
             tenant: stored.tenant,
-            app: stored.app,
-            crawler: stored.crawler,
             last_ckpt_steps: session.steps_taken(),
             session,
             events,

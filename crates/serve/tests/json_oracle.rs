@@ -165,11 +165,9 @@ fn every_event_of_spanned_faulty_crawls_encodes_identically() {
         let stored = StoredSession {
             id: 3,
             tenant: "tenant \"q\"".into(),
-            app: "phpbb2".into(),
-            crawler: crawler.into(),
             record_events: true,
             record_spans: true,
-            checkpoint: session.snapshot().unwrap(),
+            checkpoint: session.snapshot(),
         };
         same(&stored);
         let report = session.finish();

@@ -307,3 +307,227 @@ fn drain_and_recover_require_a_checkpoint_dir() {
     // The session is still in flight and runnable.
     assert_eq!(service.run_to_drain().len(), 1);
 }
+
+/// Runs `specs` through a plain service, uninterrupted: the truth for
+/// sessions whose specs differ from [`workload`]'s.
+fn truth_of(specs: &[SessionSpec]) -> BTreeMap<u64, (CrawlReport, Vec<u8>, u64)> {
+    let mut service = CrawlService::new(ServiceConfig::default());
+    for spec in specs {
+        service.submit(spec.clone()).unwrap();
+    }
+    service
+        .run_to_drain()
+        .into_iter()
+        .map(|c| (c.id, (c.report, c.events_jsonl.expect("events recorded"), c.steps)))
+        .collect()
+}
+
+/// Submits `specs` to a durable service over `dir`, runs it for
+/// `crash_at` steps and parks the survivors. Returns the sessions that
+/// completed before the park.
+fn park(dir: &Path, specs: &[SessionSpec], crash_at: u64) -> Vec<mak_serve::CompletedSession> {
+    let mut service = CrawlService::new(durable_config(dir, ScheduleOrder::RoundRobin));
+    for spec in specs {
+        service.submit(spec.clone()).unwrap();
+    }
+    let early = service.run_for_steps(crash_at);
+    assert!(service.drain().unwrap() > 0, "the park point must strand some sessions");
+    early
+}
+
+/// The live checkpoint files in `dir`, in session-id order.
+fn parked_files(dir: &Path) -> Vec<PathBuf> {
+    let mut files: Vec<PathBuf> = fs::read_dir(dir)
+        .unwrap()
+        .filter_map(|e| e.ok().map(|e| e.path()))
+        .filter(|p| p.extension().is_some_and(|x| x == "ckpt"))
+        .collect();
+    files.sort();
+    files
+}
+
+/// Sessions that record spans park and recover with their span ids
+/// continuing where they stopped: each recovered stream is
+/// `SessionResumed` plus the uninterrupted run's suffix, `SpanClosed`
+/// records and their ids included, and each report is unchanged.
+#[test]
+fn spanned_sessions_resume_with_continued_span_ids() {
+    let specs: Vec<SessionSpec> =
+        workload("heavy").into_iter().map(|spec| spec.record_spans(true)).collect();
+    let truth = truth_of(&specs);
+    let dir = tmpdir("spans");
+    let early = park(&dir, &specs, 150);
+
+    let mut revived = CrawlService::new(durable_config(&dir, ScheduleOrder::Lifo));
+    let recovery = revived.recover().unwrap();
+    assert!(recovery.restored > 0 && recovery.quarantined.is_empty(), "{recovery:?}");
+    let late = revived.run_to_drain();
+    assert_eq!(early.len() + late.len(), truth.len());
+    for c in &late {
+        let (report, events, _) = &truth[&c.id];
+        assert_eq!(&c.report, report, "session {} diverged", c.id);
+        let recovered = c.events_jsonl.as_deref().unwrap();
+        let spans = recovered.windows(12).filter(|w| w == b"\"SpanClosed\"").count();
+        assert!(spans > 0, "session {}: the resumed stream carries no spans", c.id);
+        assert_resumed_stream(recovered, events, &format!("spanned session {}", c.id));
+    }
+    fs::remove_dir_all(&dir).unwrap();
+}
+
+/// The field at `path` inside a JSON object tree, for editing in place.
+fn field_mut<'a>(value: &'a mut serde::Value, path: &[&str]) -> &'a mut serde::Value {
+    path.iter().fold(value, |node, key| match node {
+        serde::Value::Object(entries) => {
+            &mut entries.iter_mut().find(|(k, _)| k == key).unwrap_or_else(|| panic!("{key}")).1
+        }
+        other => panic!("{key}: not an object: {other:?}"),
+    })
+}
+
+/// Rewrites a parked file with `edit` applied to its payload, under a
+/// header and CRC that verify: the store's integrity check passes, and
+/// only the replay can tell the file lies.
+fn rewrite_checkpoint(path: &Path, edit: &dyn Fn(&mut serde::Value)) {
+    let raw = fs::read(path).unwrap();
+    let newline = raw.iter().position(|&b| b == b'\n').unwrap();
+    let mut payload: serde::Value =
+        serde_json::from_str(std::str::from_utf8(&raw[newline + 1..]).unwrap()).unwrap();
+    edit(&mut payload);
+    let payload = serde_json::to_string(&payload).unwrap();
+    let crc = mak_serve::checkpoint::crc32(payload.as_bytes());
+    let header =
+        format!("makckpt {} {crc:08x} {}\n", mak_serve::checkpoint::STORE_VERSION, payload.len());
+    fs::write(path, [header.as_bytes(), payload.as_bytes()].concat()).unwrap();
+}
+
+/// Hostile checkpoints that pass the CRC: each case changes one field of
+/// one parked file. The file is quarantined with a reason naming that
+/// field, `recover()` returns, and every untouched neighbour finishes
+/// bit-identically to never having stopped.
+#[test]
+fn checkpoints_that_lie_are_quarantined_by_the_replay() {
+    let specs = workload("none");
+    let truth = truth_of(&specs);
+    let setup = tmpdir("lies-setup");
+    let early = park(&setup, &specs, 100);
+    let originals: Vec<(String, Vec<u8>)> = parked_files(&setup)
+        .iter()
+        .map(|p| (p.file_name().unwrap().to_string_lossy().into_owned(), fs::read(p).unwrap()))
+        .collect();
+    assert!(originals.len() >= 2, "the lie needs an untouched neighbour");
+    fs::remove_dir_all(&setup).unwrap();
+
+    // The victim is the first parked session; its uninterrupted length
+    // decides what "one step past the end" means.
+    let victim_id: u64 =
+        originals[0].0.trim_start_matches("session-").trim_end_matches(".ckpt").parse().unwrap();
+    let total_steps = truth[&victim_id].2;
+    let uint = |n: u64| serde::Value::UInt(n);
+    let float = |x: f64| serde::Value::Float(x);
+    type Edit = Box<dyn Fn(&mut serde::Value)>;
+    let set = |path: &'static [&'static str], to: serde::Value| -> Edit {
+        Box::new(move |v: &mut serde::Value| *field_mut(v, path) = to.clone())
+    };
+    let cases: Vec<(&str, &str, Edit)> = vec![
+        (
+            "interactions + 1",
+            "interactions",
+            Box::new(|v: &mut serde::Value| {
+                let field = field_mut(v, &["checkpoint", "progress", "interactions"]);
+                let serde::Value::UInt(n) = *field else { panic!("{field:?}") };
+                *field = serde::Value::UInt(n + 1);
+            }),
+        ),
+        (
+            "elapsed_ms moved to the next float",
+            "elapsed_ms",
+            Box::new(|v: &mut serde::Value| {
+                let field = field_mut(v, &["checkpoint", "progress", "elapsed_ms"]);
+                let serde::Value::Float(t) = *field else { panic!("{field:?}") };
+                *field = serde::Value::Float(f64::from_bits(t.to_bits() + 1));
+            }),
+        ),
+        ("steps one past the end", "steps", set(&["checkpoint", "steps"], uint(total_steps + 1))),
+        ("steps = u64::MAX", "steps", set(&["checkpoint", "steps"], uint(u64::MAX))),
+        ("unknown app", "app", set(&["checkpoint", "app"], serde::Value::Str("geocities".into()))),
+        (
+            "unknown crawler",
+            "crawler",
+            set(&["checkpoint", "crawler"], serde::Value::Str("googlebot".into())),
+        ),
+        (
+            "budget 0",
+            "budget_minutes",
+            set(&["checkpoint", "config", "budget_minutes"], float(0.0)),
+        ),
+        (
+            "budget NaN",
+            "budget_minutes",
+            set(&["checkpoint", "config", "budget_minutes"], float(f64::NAN)),
+        ),
+        (
+            "sample interval 0",
+            "sample_interval_secs",
+            set(&["checkpoint", "config", "sample_interval_secs"], float(0.0)),
+        ),
+        ("version 1", "version", set(&["checkpoint", "version"], uint(1))),
+        ("done mid-run", "done", set(&["checkpoint", "done"], serde::Value::Bool(true))),
+    ];
+
+    for (i, (case, field, edit)) in cases.iter().enumerate() {
+        let dir = tmpdir(&format!("lies-{i}"));
+        let store = mak_serve::CheckpointStore::open(&dir).unwrap();
+        for (name, bytes) in &originals {
+            fs::write(store.dir().join(name), bytes).unwrap();
+        }
+        rewrite_checkpoint(&store.dir().join(&originals[0].0), edit.as_ref());
+
+        let mut revived = CrawlService::new(durable_config(&dir, ScheduleOrder::RoundRobin));
+        let recovery = revived.recover().unwrap();
+        assert_eq!(recovery.corrupt_quarantined, 1, "{case}: {recovery:?}");
+        let (_, reason) = &recovery.quarantined[0];
+        assert!(reason.contains(field), "{case}: the reason must name `{field}`: {reason}");
+        assert_eq!(recovery.restored as usize, originals.len() - 1, "{case}");
+        assert_eq!(
+            fs::read_dir(dir.join("quarantine")).unwrap().count(),
+            1,
+            "{case}: the lying file is kept as evidence"
+        );
+        let late = revived.run_to_drain();
+        assert_eq!(early.len() + late.len() + 1, truth.len(), "{case}");
+        for c in &late {
+            let (report, events, _) = &truth[&c.id];
+            assert_eq!(&c.report, report, "{case}: neighbour {} diverged", c.id);
+            assert_resumed_stream(c.events_jsonl.as_deref().unwrap(), events, case);
+        }
+        fs::remove_dir_all(&dir).unwrap();
+    }
+}
+
+/// Parking a session that was just recovered, with no step between,
+/// rewrites its checkpoint byte for byte: the replayed session is the
+/// session it was parked as, span allocator included.
+#[test]
+fn reparking_a_recovered_service_rewrites_identical_checkpoints() {
+    let specs: Vec<SessionSpec> = workload("heavy")
+        .into_iter()
+        .enumerate()
+        .map(|(i, spec)| spec.record_spans(i % 2 == 0))
+        .collect();
+    let dir = tmpdir("repark");
+    park(&dir, &specs, 150);
+    let before: Vec<(PathBuf, Vec<u8>)> =
+        parked_files(&dir).into_iter().map(|p| (p.clone(), fs::read(&p).unwrap())).collect();
+
+    let mut revived = CrawlService::new(durable_config(&dir, ScheduleOrder::RoundRobin));
+    let recovery = revived.recover().unwrap();
+    assert_eq!(recovery.restored as usize, before.len(), "{recovery:?}");
+    assert_eq!(revived.drain().unwrap() as usize, before.len());
+    let after: Vec<(PathBuf, Vec<u8>)> =
+        parked_files(&dir).into_iter().map(|p| (p.clone(), fs::read(&p).unwrap())).collect();
+    assert_eq!(after.len(), before.len());
+    for ((path, old), (_, new)) in before.iter().zip(&after) {
+        assert!(old == new, "{} changed when re-parked", path.display());
+    }
+    fs::remove_dir_all(&dir).unwrap();
+}

@@ -194,15 +194,15 @@ pub fn check_parallel_sequential(
 
 /// Checks that interrupting a session mid-crawl, round-tripping its
 /// checkpoint through JSON, and resuming in a *fresh* session (new app
-/// instance built from the spec, new crawler seeded from scratch) yields
-/// a byte-identical report to the uninterrupted run — the durability
-/// contract the serving layer's crash recovery stands on, exercised on
-/// applications nobody hand-wrote.
+/// instance built from the spec, new crawler seeded from scratch, the
+/// checkpoint's steps replayed) yields a byte-identical report to the
+/// uninterrupted run — the durability contract the serving layer's crash
+/// recovery stands on, exercised on applications nobody hand-wrote.
 ///
 /// The session is interrupted near the midpoint of the first run's
-/// interaction count, so both halves of the crawl — and the mid-flight
-/// crawler, frontier, and RNG state between them — cross the
-/// serialization boundary.
+/// interaction count, so the replay must reproduce half a crawl and
+/// arrive at the checkpoint's recorded progress before the second half
+/// runs.
 pub fn check_snapshot_roundtrip(
     spec: &BlueprintSpec,
     crawler_name: &str,
@@ -223,8 +223,7 @@ pub fn check_snapshot_roundtrip(
     let halfway = (first.interactions / 2).max(1);
     while session.steps_taken() < halfway && session.step().is_running() {}
 
-    let checkpoint =
-        session.snapshot().map_err(|e| fail(format!("{context}: snapshot failed: {e}")))?;
+    let checkpoint = session.snapshot();
     let json = serde_json::to_string(&checkpoint.to_value())
         .map_err(|e| fail(format!("{context}: checkpoint does not serialize: {e}")))?;
     let value = serde_json::from_str(&json)

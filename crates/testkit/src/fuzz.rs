@@ -116,8 +116,8 @@ fn engine_config(budget_minutes: f64, faults: &FaultPlan) -> EngineConfig {
 /// the shrink predicate for such failures. Every generated blueprint
 /// therefore exercises the cell through *three* execution paths — the
 /// legacy one-shot engine, the resumable `Session` the serving layer
-/// schedules, and an interrupt-serialize-restore-resume cycle through
-/// the checkpoint codec (the crash-recovery contract).
+/// schedules, and an interrupt-serialize-replay-resume cycle through a
+/// checkpoint (the crash-recovery contract).
 pub fn detect_step_failure(
     spec: &BlueprintSpec,
     budget_minutes: f64,

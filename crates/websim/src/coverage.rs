@@ -323,57 +323,6 @@ impl CoverageTracker {
     }
 }
 
-// Checkpoint serialization: every field is already deterministic (dense
-// vectors, no maps), so the derive-style field order is enough.
-impl serde::Serialize for CoverageTracker {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Object(vec![
-            (
-                "mode".to_owned(),
-                serde::Value::Str(
-                    match self.mode {
-                        CoverageMode::Live => "live",
-                        CoverageMode::Final => "final",
-                    }
-                    .to_owned(),
-                ),
-            ),
-            ("hits".to_owned(), self.hits.to_value()),
-            ("file_lines".to_owned(), self.file_lines.to_value()),
-            ("covered".to_owned(), serde::Value::UInt(self.covered)),
-            ("clamped".to_owned(), serde::Value::UInt(self.clamped)),
-            ("sealed".to_owned(), serde::Value::Bool(self.sealed)),
-        ])
-    }
-}
-
-impl serde::Deserialize for CoverageTracker {
-    fn from_value(value: &serde::Value) -> Result<Self, serde::Error> {
-        let serde::Value::Object(entries) = value else {
-            return Err(serde::Error::custom("expected CoverageTracker object"));
-        };
-        let mode: String = serde::__field(entries, "mode")?;
-        let mode = match mode.as_str() {
-            "live" => CoverageMode::Live,
-            "final" => CoverageMode::Final,
-            _ => return Err(serde::Error::custom("unknown coverage mode")),
-        };
-        let hits: Vec<Vec<u64>> = serde::__field(entries, "hits")?;
-        let file_lines: Vec<u32> = serde::__field(entries, "file_lines")?;
-        if hits.len() != file_lines.len() {
-            return Err(serde::Error::custom("coverage bitmask/file-length shape mismatch"));
-        }
-        Ok(CoverageTracker {
-            mode,
-            hits,
-            file_lines,
-            covered: serde::__field(entries, "covered")?,
-            clamped: serde::__field(entries, "clamped")?,
-            sealed: serde::__field(entries, "sealed")?,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

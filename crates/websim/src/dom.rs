@@ -77,59 +77,9 @@ impl Tag {
     }
 }
 
-impl Tag {
-    /// The inverse of [`Tag::name`], for checkpoint deserialization.
-    pub fn from_name(name: &str) -> Option<Self> {
-        Some(match name {
-            "html" => Tag::Html,
-            "head" => Tag::Head,
-            "title" => Tag::Title,
-            "body" => Tag::Body,
-            "div" => Tag::Div,
-            "span" => Tag::Span,
-            "p" => Tag::P,
-            "h1" => Tag::H1,
-            "h2" => Tag::H2,
-            "ul" => Tag::Ul,
-            "li" => Tag::Li,
-            "table" => Tag::Table,
-            "tr" => Tag::Tr,
-            "td" => Tag::Td,
-            "a" => Tag::A,
-            "form" => Tag::Form,
-            "input" => Tag::Input,
-            "select" => Tag::Select,
-            "option" => Tag::Option,
-            "textarea" => Tag::Textarea,
-            "button" => Tag::Button,
-            "img" => Tag::Img,
-            "nav" => Tag::Nav,
-            "footer" => Tag::Footer,
-            _ => return None,
-        })
-    }
-}
-
 impl fmt::Display for Tag {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(self.name())
-    }
-}
-
-impl serde::Serialize for Tag {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Str(self.name().to_owned())
-    }
-}
-
-impl serde::Deserialize for Tag {
-    fn from_value(value: &serde::Value) -> Result<Self, serde::Error> {
-        match value {
-            serde::Value::Str(s) => {
-                Tag::from_name(s).ok_or_else(|| serde::Error::custom("unknown tag name"))
-            }
-            _ => Err(serde::Error::custom("expected tag name string")),
-        }
     }
 }
 
@@ -377,143 +327,6 @@ impl Interactable {
     }
 }
 
-// Checkpoint serialization for interactables. Encodings follow the
-// externally-tagged convention the workspace derive uses: unit variants as
-// bare strings, data variants as single-entry objects.
-
-impl serde::Serialize for FieldKind {
-    fn to_value(&self) -> serde::Value {
-        match self {
-            FieldKind::Text => serde::Value::Str("Text".to_owned()),
-            FieldKind::Password => serde::Value::Str("Password".to_owned()),
-            FieldKind::Hidden(v) => {
-                serde::Value::Object(vec![("Hidden".to_owned(), serde::Value::Str(v.clone()))])
-            }
-            FieldKind::Select(opts) => {
-                serde::Value::Object(vec![("Select".to_owned(), opts.to_value())])
-            }
-        }
-    }
-}
-
-impl serde::Deserialize for FieldKind {
-    fn from_value(value: &serde::Value) -> Result<Self, serde::Error> {
-        match value {
-            serde::Value::Str(s) if s == "Text" => Ok(FieldKind::Text),
-            serde::Value::Str(s) if s == "Password" => Ok(FieldKind::Password),
-            serde::Value::Object(entries) if entries.len() == 1 => {
-                let (tag, inner) = &entries[0];
-                match tag.as_str() {
-                    "Hidden" => Ok(FieldKind::Hidden(String::from_value(inner)?)),
-                    "Select" => Ok(FieldKind::Select(Vec::from_value(inner)?)),
-                    _ => Err(serde::Error::custom("unknown FieldKind variant")),
-                }
-            }
-            _ => Err(serde::Error::custom("malformed FieldKind")),
-        }
-    }
-}
-
-impl serde::Serialize for FormField {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Object(vec![
-            ("name".to_owned(), self.name.to_value()),
-            ("kind".to_owned(), self.kind.to_value()),
-        ])
-    }
-}
-
-impl serde::Deserialize for FormField {
-    fn from_value(value: &serde::Value) -> Result<Self, serde::Error> {
-        match value {
-            serde::Value::Object(entries) => Ok(FormField {
-                name: serde::__field(entries, "name")?,
-                kind: serde::__field(entries, "kind")?,
-            }),
-            _ => Err(serde::Error::custom("expected FormField object")),
-        }
-    }
-}
-
-impl serde::Serialize for FormSpec {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Object(vec![
-            ("action".to_owned(), self.action.to_value()),
-            ("method".to_owned(), self.method.to_value()),
-            ("fields".to_owned(), self.fields.to_value()),
-            ("name".to_owned(), self.name.to_value()),
-        ])
-    }
-}
-
-impl serde::Deserialize for FormSpec {
-    fn from_value(value: &serde::Value) -> Result<Self, serde::Error> {
-        match value {
-            serde::Value::Object(entries) => Ok(FormSpec {
-                action: serde::__field(entries, "action")?,
-                method: serde::__field(entries, "method")?,
-                fields: serde::__field(entries, "fields")?,
-                name: serde::__field(entries, "name")?,
-            }),
-            _ => Err(serde::Error::custom("expected FormSpec object")),
-        }
-    }
-}
-
-impl serde::Serialize for Interactable {
-    fn to_value(&self) -> serde::Value {
-        match self {
-            Interactable::Link { href, text } => serde::Value::Object(vec![(
-                "Link".to_owned(),
-                serde::Value::Object(vec![
-                    ("href".to_owned(), href.to_value()),
-                    ("text".to_owned(), text.to_value()),
-                ]),
-            )]),
-            Interactable::Button { name, target } => serde::Value::Object(vec![(
-                "Button".to_owned(),
-                serde::Value::Object(vec![
-                    ("name".to_owned(), name.to_value()),
-                    ("target".to_owned(), target.to_value()),
-                ]),
-            )]),
-            Interactable::Form(form) => {
-                serde::Value::Object(vec![("Form".to_owned(), form.to_value())])
-            }
-        }
-    }
-}
-
-impl serde::Deserialize for Interactable {
-    fn from_value(value: &serde::Value) -> Result<Self, serde::Error> {
-        let serde::Value::Object(entries) = value else {
-            return Err(serde::Error::custom("expected Interactable object"));
-        };
-        if entries.len() != 1 {
-            return Err(serde::Error::custom("expected single-variant Interactable"));
-        }
-        let (tag, inner) = &entries[0];
-        match tag.as_str() {
-            "Link" => match inner {
-                serde::Value::Object(fields) => Ok(Interactable::Link {
-                    href: serde::__field(fields, "href")?,
-                    text: serde::__field(fields, "text")?,
-                }),
-                _ => Err(serde::Error::custom("malformed Link")),
-            },
-            "Button" => match inner {
-                serde::Value::Object(fields) => Ok(Interactable::Button {
-                    name: serde::__field(fields, "name")?,
-                    target: serde::__field(fields, "target")?,
-                }),
-                _ => Err(serde::Error::custom("malformed Button")),
-            },
-            "Form" => Ok(Interactable::Form(FormSpec::from_value(inner)?)),
-            _ => Err(serde::Error::custom("unknown Interactable variant")),
-        }
-    }
-}
-
 /// Derivations of one DOM tree that every consumer of the page recomputes
 /// otherwise: the extracted interactables and the pre-order tag sequence.
 /// Shared (via `Arc`) between a cached document and every page served from
@@ -550,13 +363,6 @@ impl DocShared {
     /// The shared derivations of a body-less page: no elements, no tags.
     pub fn empty() -> Self {
         DocShared::new(Vec::new(), Vec::new(), false)
-    }
-
-    /// Rebuilds the derivations from checkpointed parts. Restored pages
-    /// carry no DOM tree — only these derivations, which are the sole page
-    /// observables the crawlers consume mid-run.
-    pub fn from_parts(interactables: Vec<Interactable>, tags: Vec<Tag>) -> Self {
-        DocShared::new(interactables, tags, false)
     }
 
     /// The extracted interactable elements, in document order.

@@ -26,22 +26,6 @@ impl fmt::Display for Method {
     }
 }
 
-impl serde::Serialize for Method {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Str(self.to_string())
-    }
-}
-
-impl serde::Deserialize for Method {
-    fn from_value(value: &serde::Value) -> Result<Self, serde::Error> {
-        match value {
-            serde::Value::Str(s) if s == "GET" => Ok(Method::Get),
-            serde::Value::Str(s) if s == "POST" => Ok(Method::Post),
-            _ => Err(serde::Error::custom("expected \"GET\" or \"POST\"")),
-        }
-    }
-}
-
 /// An HTTP request from the crawler to a simulated application.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Request {
@@ -89,29 +73,11 @@ impl SessionId {
     pub fn from_raw(raw: u64) -> Self {
         SessionId(raw)
     }
-
-    /// The raw value, for checkpoint serialization; round-trips through
-    /// [`SessionId::from_raw`].
-    pub fn raw(self) -> u64 {
-        self.0
-    }
 }
 
 impl fmt::Display for SessionId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "sess-{:016x}", self.0)
-    }
-}
-
-impl serde::Serialize for SessionId {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::UInt(self.0)
-    }
-}
-
-impl serde::Deserialize for SessionId {
-    fn from_value(value: &serde::Value) -> Result<Self, serde::Error> {
-        u64::from_value(value).map(SessionId)
     }
 }
 
@@ -138,35 +104,11 @@ impl Status {
             Status::ServerError => 500,
         }
     }
-
-    /// The inverse of [`Status::code`], for checkpoint deserialization.
-    pub fn from_code(code: u16) -> Option<Self> {
-        match code {
-            200 => Some(Status::Ok),
-            302 => Some(Status::Found),
-            404 => Some(Status::NotFound),
-            500 => Some(Status::ServerError),
-            _ => None,
-        }
-    }
 }
 
 impl fmt::Display for Status {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{}", self.code())
-    }
-}
-
-impl serde::Serialize for Status {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::UInt(u64::from(self.code()))
-    }
-}
-
-impl serde::Deserialize for Status {
-    fn from_value(value: &serde::Value) -> Result<Self, serde::Error> {
-        let code = u16::from_value(value)?;
-        Status::from_code(code).ok_or_else(|| serde::Error::custom("unknown status code"))
     }
 }
 

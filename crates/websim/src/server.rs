@@ -12,7 +12,6 @@ use crate::session::{Session, SessionStore};
 use crate::url::Url;
 use mak_obs::event::Event;
 use mak_obs::sink::SinkHandle;
-use serde::{Deserialize as _, Serialize as _};
 
 /// Per-request context handed to [`WebApp::handle`]: the requester's session
 /// and the coverage recorder.
@@ -223,100 +222,6 @@ impl AppHost {
     /// Allocated session id for `cookie`, if the store knows it.
     pub fn session_count(&self) -> usize {
         self.sessions.len()
-    }
-
-    /// Captures the host's mutable deployment state — coverage, sessions,
-    /// request counter — for checkpointing. The application model itself is
-    /// immutable and re-supplied on restore; the sink is observational and
-    /// never serialized.
-    pub fn snapshot_state(&self) -> HostState {
-        HostState {
-            tracker: self.tracker.clone(),
-            sessions: self.sessions.to_value(),
-            requests: self.requests,
-        }
-    }
-
-    /// Redeploys a *shared* application model at a checkpointed state. The
-    /// inverse of [`AppHost::snapshot_state`]; behaviour from here on is
-    /// identical to the host the state was captured from.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the serialized session store is malformed.
-    pub fn restore_shared(
-        app: std::sync::Arc<dyn WebApp>,
-        state: &HostState,
-    ) -> Result<Self, serde::Error> {
-        let sessions = SessionStore::from_value(&state.sessions)?;
-        Ok(AppHost {
-            origin: app.seed_url(),
-            app: AppRef::Shared(app),
-            tracker: state.tracker.clone(),
-            sessions,
-            requests: state.requests,
-            sink: SinkHandle::none(),
-        })
-    }
-
-    /// Owned-model variant of [`AppHost::restore_shared`].
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the serialized session store is malformed.
-    pub fn restore_owned(app: Box<dyn WebApp>, state: &HostState) -> Result<Self, serde::Error> {
-        let sessions = SessionStore::from_value(&state.sessions)?;
-        Ok(AppHost {
-            origin: app.seed_url(),
-            app: AppRef::Owned(app),
-            tracker: state.tracker.clone(),
-            sessions,
-            requests: state.requests,
-            sink: SinkHandle::none(),
-        })
-    }
-}
-
-/// Checkpointed mutable state of an [`AppHost`]: everything a fresh
-/// deployment of the same immutable model needs to continue bit-identically.
-#[derive(Debug, Clone)]
-pub struct HostState {
-    /// The coverage tracker, bitmasks and counters included.
-    pub tracker: CoverageTracker,
-    /// The session store in its serialized (id-sorted) form.
-    pub sessions: serde::Value,
-    /// Requests served so far (drives per-request fault/failure modeling).
-    pub requests: u64,
-}
-
-impl serde::Serialize for HostState {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Object(vec![
-            ("tracker".to_owned(), self.tracker.to_value()),
-            ("sessions".to_owned(), self.sessions.clone()),
-            ("requests".to_owned(), serde::Value::UInt(self.requests)),
-        ])
-    }
-}
-
-impl serde::Deserialize for HostState {
-    fn from_value(value: &serde::Value) -> Result<Self, serde::Error> {
-        let serde::Value::Object(entries) = value else {
-            return Err(serde::Error::custom("expected HostState object"));
-        };
-        let sessions = entries
-            .iter()
-            .find(|(k, _)| k == "sessions")
-            .map(|(_, v)| v.clone())
-            .ok_or_else(|| serde::Error::custom("missing field `sessions`"))?;
-        // Validate the embedded store eagerly so corrupt checkpoints fail at
-        // load time, not mid-restore.
-        SessionStore::from_value(&sessions)?;
-        Ok(HostState {
-            tracker: serde::__field(entries, "tracker")?,
-            sessions,
-            requests: serde::__field(entries, "requests")?,
-        })
     }
 }
 

@@ -53,43 +53,6 @@ impl Session {
     }
 }
 
-// Checkpoint serialization. The backing maps are hash maps, so both
-// collections are emitted key-sorted: checkpoint bytes must be a pure
-// function of session *content*, never of hasher state.
-impl serde::Serialize for Session {
-    fn to_value(&self) -> serde::Value {
-        let mut vars: Vec<(&String, i64)> = self.vars.iter().map(|(k, v)| (k, *v)).collect();
-        vars.sort();
-        let mut lists: Vec<(&String, &Vec<String>)> = self.lists.iter().collect();
-        lists.sort();
-        serde::Value::Object(vec![
-            (
-                "vars".to_owned(),
-                serde::Value::Array(
-                    vars.iter().map(|(k, v)| (k.as_str(), *v).to_value()).collect(),
-                ),
-            ),
-            (
-                "lists".to_owned(),
-                serde::Value::Array(
-                    lists.iter().map(|(k, v)| (k.as_str(), v.as_slice()).to_value()).collect(),
-                ),
-            ),
-        ])
-    }
-}
-
-impl serde::Deserialize for Session {
-    fn from_value(value: &serde::Value) -> Result<Self, serde::Error> {
-        let serde::Value::Object(entries) = value else {
-            return Err(serde::Error::custom("expected Session object"));
-        };
-        let vars: Vec<(String, i64)> = serde::__field(entries, "vars")?;
-        let lists: Vec<(String, Vec<String>)> = serde::__field(entries, "lists")?;
-        Ok(Session { vars: vars.into_iter().collect(), lists: lists.into_iter().collect() })
-    }
-}
-
 /// Allocates and stores sessions for one hosted application.
 #[derive(Debug, Default)]
 pub struct SessionStore {
@@ -129,37 +92,6 @@ impl SessionStore {
     /// Whether no sessions exist.
     pub fn is_empty(&self) -> bool {
         self.sessions.is_empty()
-    }
-}
-
-// Sessions are emitted sorted by id for deterministic checkpoint bytes.
-impl serde::Serialize for SessionStore {
-    fn to_value(&self) -> serde::Value {
-        let mut sessions: Vec<(&SessionId, &Session)> = self.sessions.iter().collect();
-        sessions.sort_by_key(|(id, _)| **id);
-        serde::Value::Object(vec![
-            ("next".to_owned(), serde::Value::UInt(self.next)),
-            (
-                "sessions".to_owned(),
-                serde::Value::Array(
-                    sessions.iter().map(|(id, s)| (id.raw(), *s).to_value()).collect(),
-                ),
-            ),
-        ])
-    }
-}
-
-impl serde::Deserialize for SessionStore {
-    fn from_value(value: &serde::Value) -> Result<Self, serde::Error> {
-        let serde::Value::Object(entries) = value else {
-            return Err(serde::Error::custom("expected SessionStore object"));
-        };
-        let next: u64 = serde::__field(entries, "next")?;
-        let sessions: Vec<(u64, Session)> = serde::__field(entries, "sessions")?;
-        Ok(SessionStore {
-            next,
-            sessions: sessions.into_iter().map(|(id, s)| (SessionId(id), s)).collect(),
-        })
     }
 }
 

@@ -282,26 +282,6 @@ impl fmt::Display for Url {
     }
 }
 
-// Checkpoints persist URLs as their display string; `Display → parse` is a
-// fixpoint (query order is preserved), so restored URLs compare equal and
-// normalize identically.
-impl serde::Serialize for Url {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Str(self.to_string())
-    }
-}
-
-impl serde::Deserialize for Url {
-    fn from_value(value: &serde::Value) -> Result<Self, serde::Error> {
-        match value {
-            serde::Value::Str(s) => {
-                s.parse().map_err(|_| serde::Error::custom("invalid URL in checkpoint"))
-            }
-            _ => Err(serde::Error::custom("expected URL string")),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
