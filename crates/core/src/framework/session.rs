@@ -296,6 +296,11 @@ impl<'c> Session<'c> {
     /// checkpoint's name and seed (e.g. via
     /// [`build_crawler`](crate::spec::build_crawler)).
     ///
+    /// This is [`open_replay`](Self::open_replay),
+    /// [`advance_replay`](Self::advance_replay) to the target and
+    /// [`resume`](Self::resume) in one call; a scheduler that wants to
+    /// spread the replay over time slices makes the three calls itself.
+    ///
     /// # Errors
     ///
     /// When the checkpoint's version is not [`CHECKPOINT_VERSION`], its
@@ -334,6 +339,37 @@ impl<'c> Session<'c> {
         checkpoint: &SessionCheckpoint,
         sink: SinkHandle,
     ) -> Result<Session<'static>, serde::Error> {
+        let mut session = Session::open(host, crawler, checkpoint)?;
+        session.advance_replay(checkpoint, u64::MAX)?;
+        session.resume(checkpoint, sink)?;
+        Ok(session)
+    }
+
+    /// Opens the replay of `checkpoint` over a *shared* application model:
+    /// a fresh session at step 0 with no sink. Checks only what needs no
+    /// step: the checkpoint's version and config and the app and crawler
+    /// names. Drive it to the checkpoint with
+    /// [`advance_replay`](Self::advance_replay), then call
+    /// [`resume`](Self::resume).
+    ///
+    /// # Errors
+    ///
+    /// When the version is not [`CHECKPOINT_VERSION`], the budget or sample
+    /// interval is not positive and finite, or the app/crawler names do
+    /// not match. Each error names the field at fault.
+    pub fn open_replay(
+        app: Arc<dyn WebApp>,
+        crawler: Box<dyn Crawler>,
+        checkpoint: &SessionCheckpoint,
+    ) -> Result<Session<'static>, serde::Error> {
+        Session::open(AppHost::with_shared(app), crawler, checkpoint)
+    }
+
+    fn open(
+        host: AppHost,
+        crawler: Box<dyn Crawler>,
+        checkpoint: &SessionCheckpoint,
+    ) -> Result<Session<'static>, serde::Error> {
         checkpoint.validate()?;
         if host.app().name() != checkpoint.app {
             return Err(serde::Error::custom(format!(
@@ -349,31 +385,66 @@ impl<'c> Session<'c> {
                 crawler.name()
             )));
         }
-        let mut session = Session::start(
+        Ok(Session::start(
             host,
             CrawlerSlot::Owned(crawler),
             &checkpoint.config,
             checkpoint.seed,
             SinkHandle::none(),
-        );
+        ))
+    }
+
+    /// Replays at most `max_steps` more of the checkpoint's steps on a
+    /// session from [`open_replay`](Self::open_replay). Returns whether
+    /// the session now stands at the checkpoint's step count.
+    ///
+    /// # Errors
+    ///
+    /// When the session ends before the recorded step count; the error
+    /// names `steps`.
+    pub fn advance_replay(
+        &mut self,
+        checkpoint: &SessionCheckpoint,
+        max_steps: u64,
+    ) -> Result<bool, serde::Error> {
         // The budget bounds this loop: a step count past the session's end
         // stops at the end, however large it is.
-        for taken in 0..checkpoint.steps {
-            if !session.step().is_running() {
+        for _ in 0..checkpoint.steps.saturating_sub(self.step_index).min(max_steps) {
+            if !self.step().is_running() {
                 return Err(serde::Error::custom(format!(
-                    "`steps`: the checkpoint records {}, but the session ends after {taken}",
-                    checkpoint.steps
+                    "`steps`: the checkpoint records {}, but the session ends after {}",
+                    checkpoint.steps, self.step_index
                 )));
             }
         }
-        if checkpoint.done && session.step().is_running() {
+        Ok(self.step_index == checkpoint.steps)
+    }
+
+    /// Ends a replay that [`advance_replay`](Self::advance_replay) brought
+    /// to the checkpoint's step count: checks `done` (a finished session
+    /// takes one more step, which must find its end), then the progress
+    /// record; only then attaches `sink` to the browser, host and crawler,
+    /// with the span allocator seeded from the stored pair, and emits
+    /// `SessionResumed`.
+    ///
+    /// # Errors
+    ///
+    /// When `done` or the progress record does not match the replay. Each
+    /// error names the first field at fault; the session then has no sink.
+    pub fn resume(
+        &mut self,
+        checkpoint: &SessionCheckpoint,
+        sink: SinkHandle,
+    ) -> Result<(), serde::Error> {
+        debug_assert_eq!(self.step_index, checkpoint.steps, "resume before the replay's end");
+        if checkpoint.done && self.step().is_running() {
             return Err(serde::Error::custom(format!(
                 "`done`: the checkpoint records a session that ended after {} steps, \
                  but the replay continues",
                 checkpoint.steps
             )));
         }
-        checkpoint.progress.check(&session.progress())?;
+        checkpoint.progress.check(&self.progress())?;
 
         // Seed the span allocator before any clone is distributed, so the
         // browser, host, and crawler all link into the continued id space.
@@ -381,17 +452,17 @@ impl<'c> Session<'c> {
             Some((next_id, now_ms)) => sink.with_spans_restored(next_id, now_ms),
             None => sink,
         };
-        session.browser.set_sink(sink.clone());
-        session.crawler.get().attach_sink(sink.clone());
-        session.sink = sink;
-        session.sink.emit_with(|| Event::SessionResumed {
+        self.browser.set_sink(sink.clone());
+        self.crawler.get().attach_sink(sink.clone());
+        self.sink = sink;
+        self.sink.emit_with(|| Event::SessionResumed {
             app: checkpoint.app.clone(),
             crawler: checkpoint.crawler.clone(),
             seed: checkpoint.seed,
             step: checkpoint.steps,
-            t_ms: session.browser.clock().elapsed_ms(),
+            t_ms: self.browser.clock().elapsed_ms(),
         });
-        Ok(session)
+        Ok(())
     }
 
     /// Performs one engine iteration: charge the crawler's policy

@@ -85,7 +85,7 @@ pub struct CheckpointStats {
     pub writes: u64,
     /// Payload bytes across those writes.
     pub bytes: u64,
-    /// Sessions successfully restored from disk.
+    /// Recovered sessions whose replay passed its checks.
     pub restores: u64,
     /// Files quarantined as corrupt (bad header, CRC, or payload) or
     /// unrebuildable (a replay that fails its checkpoint).
@@ -211,8 +211,9 @@ impl CheckpointStore {
 
     /// Records one successful session restoration. Decoding a file is
     /// not restoring a session — quota-rejected and already-live entries
-    /// decode fine but stay parked — so the service calls this only once
-    /// a recovered session is actually re-admitted.
+    /// decode fine but stay parked, and a re-admitted one may still fail
+    /// its replay — so the scheduler calls this only once a recovered
+    /// session's replay has passed its checks.
     pub fn note_restored(&self) {
         self.restores.fetch_add(1, Ordering::Relaxed);
     }

@@ -28,11 +28,15 @@
 //!   [`CrawlService::drain`](service::CrawlService::drain) parks all
 //!   pending work and
 //!   [`CrawlService::recover`](service::CrawlService::recover) re-admits
-//!   it by replaying each session's recorded steps — in the same or a
-//!   fresh process, after a graceful stop or a `kill -9` — finishing
+//!   it — in the same or a fresh process, after a graceful stop or a
+//!   `kill -9`. The scheduler's workers then replay each session's
+//!   recorded steps in ordinary slices, so a huge recorded step count
+//!   costs only that session's slices, and the session finishes
 //!   bit-identically to an uninterrupted run (`tests/recovery.rs`);
 //!   corrupt files, and files whose replay does not arrive where they
-//!   say, are quarantined, never trusted.
+//!   say, are quarantined, never trusted
+//!   ([`last_quarantined`](service::CrawlService::last_quarantined)
+//!   reports the latter after the drain).
 //!
 //! ## Determinism contract
 //!

@@ -156,12 +156,12 @@ impl ServiceMetrics {
         r.register_counter(
             "mak_serve_checkpoint_restores_total",
             Domain::Virtual,
-            "Sessions restored from durable checkpoints",
+            "Recovered sessions whose replay passed its checks",
         );
         r.register_counter(
             "mak_serve_checkpoint_corrupt_total",
             Domain::Virtual,
-            "Checkpoint files quarantined as corrupt or unrebuildable",
+            "Checkpoint files quarantined as corrupt, unrebuildable or failing their replay",
         );
         r.register_gauge(
             "mak_serve_retry_after_steps",

@@ -22,12 +22,21 @@
 //! scheduler must not trust its tenants) is caught, counted as aborted,
 //! and dropped; the worker and every other session continue.
 //!
+//! A recovered session enters the queues still *replaying*: its slices
+//! take the checkpoint's steps with no sink, and the slice that reaches
+//! the checkpoint's step count checks the session there, then resumes it
+//! or quarantines its file. A replay slice is bounded like any other, so
+//! a checkpoint with a huge step count costs only its own slices.
+//! Replayed steps count toward a drain's step limit but are not drained
+//! steps: no latency sample covers them.
+//!
 //! [`steps_per_slice`]: crate::ServiceConfig::steps_per_slice
 
 use crate::checkpoint::{CheckpointStore, StoredSession};
+use mak::framework::checkpoint::SessionCheckpoint;
 use mak::framework::engine::CrawlReport;
 use mak::framework::session::Session;
-use mak_obs::sink::VecSink;
+use mak_obs::sink::{SinkHandle, VecSink};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::VecDeque;
@@ -67,17 +76,36 @@ pub(crate) struct SessionTask {
     /// `steps_taken` at the last durable checkpoint — drives the
     /// every-N-steps cadence.
     pub last_ckpt_steps: u64,
+    /// Present while a recovered session replays toward its checkpoint.
+    pub replay: Option<Box<Replay>>,
+}
+
+/// A recovered session's way back: where its replay must arrive, and the
+/// sink it gets once it has.
+pub(crate) struct Replay {
+    /// The checkpoint the session was recovered from. Until the replay
+    /// reaches it and passes its checks, this is the session's durable
+    /// state: nothing past it is verified.
+    pub checkpoint: SessionCheckpoint,
+    /// Attached at the target, after the checks.
+    pub sink: SinkHandle,
 }
 
 impl SessionTask {
-    /// The task as the checkpoint store persists it.
+    /// The task as the checkpoint store persists it. A replaying session
+    /// persists the checkpoint it was recovered from, unchanged: a
+    /// snapshot of an unverified prefix would turn a lying file into a
+    /// valid one.
     pub(crate) fn to_stored(&self) -> StoredSession {
         StoredSession {
             id: self.id,
             tenant: self.tenant.clone(),
             record_events: self.record_events,
             record_spans: self.record_spans,
-            checkpoint: self.session.snapshot(),
+            checkpoint: match &self.replay {
+                Some(replay) => replay.checkpoint.clone(),
+                None => self.session.snapshot(),
+            },
         }
     }
 }
@@ -89,6 +117,15 @@ pub(crate) struct CheckpointHook {
     /// Write a session's checkpoint once it has run this many steps past
     /// its previous one (0 = only on drain/eviction, never mid-run).
     pub every_steps: u64,
+}
+
+/// A recovered session whose replay failed its checks; its file is
+/// already in `quarantine/`.
+pub(crate) struct QuarantinedTask {
+    pub id: u64,
+    pub tenant: String,
+    /// What the check found, naming the field at fault.
+    pub reason: String,
 }
 
 /// A drained session: the task's bookkeeping plus its sealed report and,
@@ -180,7 +217,8 @@ pub struct Checkpoint {
     pub wall_secs: f64,
     /// Sessions completed so far.
     pub sessions_done: u64,
-    /// Virtual-clock steps executed so far (across all sessions).
+    /// Virtual-clock steps executed so far (across all sessions, replayed
+    /// steps included).
     pub steps_done: u64,
 }
 
@@ -189,7 +227,9 @@ struct Pool {
     injector: Mutex<VecDeque<SessionTask>>,
     locals: Vec<Mutex<VecDeque<SessionTask>>>,
     done: Mutex<Vec<FinishedTask>>,
-    /// Tasks not yet finished or aborted — the termination condition.
+    quarantined: Mutex<Vec<QuarantinedTask>>,
+    /// Tasks not yet finished, aborted or quarantined — the termination
+    /// condition.
     remaining: AtomicUsize,
     aborted: AtomicU64,
     /// Steal operations (a worker taking from a sibling's deque).
@@ -245,6 +285,8 @@ pub(crate) struct DrainOutcome {
     /// callers sort by id.
     pub unfinished: Vec<SessionTask>,
     pub aborted: u64,
+    /// Recovered sessions whose replay failed its checks (unordered).
+    pub quarantined: Vec<QuarantinedTask>,
     pub latencies: StepLatencies,
     pub wall_secs: f64,
     pub steals: u64,
@@ -260,6 +302,7 @@ pub(crate) fn drain(tasks: Vec<SessionTask>, config: DrainConfig) -> DrainOutcom
         injector: Mutex::new(tasks.into()),
         locals: (0..threads).map(|_| Mutex::new(VecDeque::new())).collect(),
         done: Mutex::new(Vec::with_capacity(total)),
+        quarantined: Mutex::new(Vec::new()),
         remaining: AtomicUsize::new(total),
         aborted: AtomicU64::new(0),
         steals: AtomicU64::new(0),
@@ -296,6 +339,7 @@ pub(crate) fn drain(tasks: Vec<SessionTask>, config: DrainConfig) -> DrainOutcom
         finished: pool.done.into_inner().unwrap_or_else(|p| p.into_inner()),
         unfinished,
         aborted: pool.aborted.into_inner(),
+        quarantined: pool.quarantined.into_inner().unwrap_or_else(|p| p.into_inner()),
         latencies,
         wall_secs: pool.started.elapsed().as_secs_f64(),
         steals: pool.steals.into_inner(),
@@ -408,25 +452,32 @@ fn pop_ordered(
     }
 }
 
+/// Steps the next slice may run: `steps_per_slice`, trimmed under a step
+/// limit so the drain stops close to the requested point (concurrent
+/// workers may still overshoot by at most one slice each — the limit
+/// simulates a crash, not a barrier). `None` once the limit is spent.
+fn quantum(pool: &Pool) -> Option<usize> {
+    match pool.step_limit {
+        Some(limit) => {
+            let done = pool.steps_done.load(Ordering::Relaxed);
+            (done < limit).then(|| (pool.steps_per_slice as u64).min(limit - done) as usize)
+        }
+        None => Some(pool.steps_per_slice),
+    }
+}
+
 /// Runs one scheduling quantum of `task`: up to `steps_per_slice` steps,
 /// then either completion (report sealed, counters settled) or requeue
 /// on our local deque.
 fn run_slice(pool: &Pool, me: usize, mut task: SessionTask, latencies: &mut StepLatencies) {
+    if task.replay.is_some() {
+        return replay_slice(pool, me, task);
+    }
     let started = pool.sample_latency.then(Instant::now);
     let steps_before = task.session.steps_taken();
-    // Under a step limit, trim the slice so the drain stops close to the
-    // requested point (concurrent workers may still overshoot by at most
-    // one slice each — the limit simulates a crash, not a barrier).
-    let quantum = match pool.step_limit {
-        Some(limit) => {
-            let done = pool.steps_done.load(Ordering::Relaxed);
-            if done >= limit {
-                pool.locals[me].lock().unwrap().push_back(task);
-                return;
-            }
-            (pool.steps_per_slice as u64).min(limit - done) as usize
-        }
-        None => pool.steps_per_slice,
+    let Some(quantum) = quantum(pool) else {
+        pool.locals[me].lock().unwrap().push_back(task);
+        return;
     };
     let outcome = catch_unwind(AssertUnwindSafe(|| {
         for _ in 0..quantum {
@@ -499,6 +550,60 @@ fn run_slice(pool: &Pool, me: usize, mut task: SessionTask, latencies: &mut Step
             }
         }
         pool.locals[me].lock().unwrap().push_back(task);
+    }
+}
+
+/// Runs one quantum of a recovered session's replay, with no sink and no
+/// latency sample; the steps still count toward the step limit. The slice
+/// that reaches the checkpoint's step count checks the session there:
+/// a session that passes gets its sink and is requeued to run on (its
+/// cadence counting from the checkpoint), and one that fails has its file
+/// quarantined and leaves the pool.
+fn replay_slice(pool: &Pool, me: usize, mut task: SessionTask) {
+    let Some(quantum) = quantum(pool) else {
+        pool.locals[me].lock().unwrap().push_back(task);
+        return;
+    };
+    let steps_before = task.session.steps_taken();
+    let outcome = catch_unwind(AssertUnwindSafe(|| {
+        let replay = task.replay.as_deref().expect("a replaying task");
+        let checked = match task.session.advance_replay(&replay.checkpoint, quantum as u64) {
+            Ok(true) => {
+                let Replay { checkpoint, sink } = *task.replay.take().expect("a replaying task");
+                task.session.resume(&checkpoint, sink)
+            }
+            Ok(false) => Ok(()),
+            Err(err) => Err(err),
+        };
+        (task, checked)
+    }));
+    let Ok((mut task, checked)) = outcome else {
+        pool.aborted.fetch_add(1, Ordering::Relaxed);
+        pool.remaining.fetch_sub(1, Ordering::AcqRel);
+        return;
+    };
+    task.slices += 1;
+    pool.steps_done.fetch_add(task.session.steps_taken() - steps_before, Ordering::Relaxed);
+    match checked {
+        Ok(()) => {
+            if task.replay.is_none() {
+                task.last_ckpt_steps = task.session.steps_taken();
+                if let Some(hook) = &pool.checkpoint {
+                    hook.store.note_restored();
+                }
+            }
+            pool.locals[me].lock().unwrap().push_back(task);
+        }
+        Err(err) => {
+            let reason = err.to_string();
+            if let Some(hook) = &pool.checkpoint {
+                hook.store.quarantine(task.id, &reason);
+            }
+            let SessionTask { id, tenant, .. } = task;
+            let quarantined = QuarantinedTask { id, tenant, reason };
+            pool.quarantined.lock().unwrap_or_else(|p| p.into_inner()).push(quarantined);
+            pool.remaining.fetch_sub(1, Ordering::AcqRel);
+        }
     }
 }
 

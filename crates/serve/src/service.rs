@@ -19,7 +19,8 @@ use crate::checkpoint::{CheckpointStats, CheckpointStore, LoadOutcome, StoredSes
 use crate::error::SubmitError;
 use crate::metrics::ServiceMetrics;
 use crate::scheduler::{
-    self, Checkpoint, CheckpointHook, DrainConfig, ScheduleOrder, SessionTask, StepLatencies,
+    self, Checkpoint, CheckpointHook, DrainConfig, Replay, ScheduleOrder, SessionTask,
+    StepLatencies,
 };
 use crate::tenant::{TenantLedger, TenantQuota};
 use mak::framework::engine::{CrawlReport, EngineConfig};
@@ -191,6 +192,7 @@ pub struct CrawlService {
     next_id: SessionId,
     aborted_total: u64,
     last_latencies: StepLatencies,
+    last_quarantined: Vec<(String, String)>,
     last_checkpoints: Vec<Checkpoint>,
     metrics: ServiceMetrics,
     /// Durable checkpoint store (present iff `checkpoint_dir` is set).
@@ -225,6 +227,7 @@ impl CrawlService {
             next_id: 0,
             aborted_total: 0,
             last_latencies: StepLatencies::default(),
+            last_quarantined: Vec::new(),
             last_checkpoints: Vec::new(),
             metrics,
             store,
@@ -306,6 +309,7 @@ impl CrawlService {
             record_spans: spec.record_spans,
             slices: 0,
             last_ckpt_steps: 0,
+            replay: None,
         });
         // Admission-time checkpoint: a durable service records the
         // session *before* its first step, so a hard crash loses nothing
@@ -339,6 +343,15 @@ impl CrawlService {
     /// [`ServiceConfig::sample_latency`] is set).
     pub fn last_latencies(&self) -> &StepLatencies {
         &self.last_latencies
+    }
+
+    /// Recovered sessions whose replay failed its checks during the most
+    /// recent drain, as `(session, reason)` in id order, in the shape of
+    /// [`RecoveryReport::quarantined`]. Each file is in `quarantine/`,
+    /// counted in `mak_serve_checkpoint_corrupt_total`, and its quota slot
+    /// released; the session is not an abort.
+    pub fn last_quarantined(&self) -> &[(String, String)] {
+        &self.last_quarantined
     }
 
     /// Throughput checkpoints from the most recent drain (empty unless
@@ -396,6 +409,14 @@ impl CrawlService {
         // next run's injector sees a deterministic queue.
         outcome.unfinished.sort_unstable_by_key(|t| t.id);
         self.pending = std::mem::take(&mut outcome.unfinished);
+        outcome.quarantined.sort_unstable_by_key(|q| q.id);
+        self.last_quarantined = std::mem::take(&mut outcome.quarantined)
+            .into_iter()
+            .map(|q| {
+                self.ledger.release(&q.tenant);
+                (format!("session {}", q.id), q.reason)
+            })
+            .collect();
         self.aborted_total += outcome.aborted;
         self.metrics.record_aborted(outcome.aborted);
         self.metrics.record_drain(
@@ -446,7 +467,9 @@ impl CrawlService {
 
     /// Checkpoints and parks every in-flight session: each one's spec and
     /// step count go durably to the checkpoint directory, its quota slot
-    /// is released, and the service's pending queue empties.
+    /// is released, and the service's pending queue empties. A recovered
+    /// session still replaying parks the checkpoint it was recovered
+    /// from, byte for byte.
     /// The graceful half of crash recovery — a later
     /// [`recover`](Self::recover) (same process or the next one) picks
     /// the sessions back up bit-identically.
@@ -480,13 +503,17 @@ impl CrawlService {
     }
 
     /// Re-admits every parked session from the checkpoint directory:
-    /// each checkpoint is CRC-verified (corrupt files are quarantined
-    /// and counted, never trusted, never fatal), its tenant re-admitted
-    /// under the *current* quota (rejections leave the checkpoint on
-    /// disk for a later attempt), and the session rebuilt by replaying
-    /// its recorded steps, which must arrive at its recorded progress
-    /// (a replay that does not is quarantined) — its remaining run is
-    /// bit-identical to never having stopped.
+    /// each checkpoint is CRC-verified and decoded (corrupt files are
+    /// quarantined and counted, never trusted, never fatal), its spec
+    /// validated (an unknown app or crawler, or a config no session can
+    /// run under, is quarantined too), and its tenant re-admitted under
+    /// the *current* quota (rejections leave the checkpoint on disk for a
+    /// later attempt). Nothing is replayed here: each re-admitted session
+    /// enters the run queue at step 0 with its checkpoint as a replay
+    /// target, and the next drain's workers replay it in ordinary slices,
+    /// check it at the target, and resume it — its remaining run is
+    /// bit-identical to never having stopped — or quarantine its file
+    /// (reported by [`last_quarantined`](Self::last_quarantined)).
     ///
     /// # Errors
     ///
@@ -497,7 +524,7 @@ impl CrawlService {
             return Err(io::Error::other("recover requires ServiceConfig::checkpoint_dir"));
         };
         let mut report = RecoveryReport::default();
-        // A restored session's file stays on disk until its next cadence
+        // A recovered session's file stays on disk until its next cadence
         // write or completion (small crash window beats a durability
         // gap), so a repeat recover() must skip what is already live.
         let live: std::collections::BTreeSet<SessionId> =
@@ -514,15 +541,14 @@ impl CrawlService {
             };
             match self.readmit(stored) {
                 Ok(id) => {
-                    store.note_restored();
                     report.restored += 1;
                     self.next_id = self.next_id.max(id + 1);
                 }
                 Err(ReadmitError::Rejected(id, err)) => report.rejected.push((id, err)),
                 Err(ReadmitError::Invalid(id, reason)) => {
                     // CRC-clean but semantically unusable (e.g. an app
-                    // model that left the registry): quarantine like any
-                    // other corruption.
+                    // model that left the registry, or a zero budget):
+                    // quarantine like any other corruption.
                     store.quarantine(id, &reason);
                     report.corrupt_quarantined += 1;
                     report.quarantined.push((format!("session {id}"), reason));
@@ -556,6 +582,15 @@ impl CrawlService {
         if let Err(err) = self.ledger.admit(&stored.tenant) {
             return Err(ReadmitError::Rejected(id, err));
         }
+        // The replay itself runs on the workers (DESIGN.md §15); here the
+        // session only opens, which checks what needs no step.
+        let session = match Session::open_replay(model, crawler, checkpoint) {
+            Ok(session) => session,
+            Err(err) => {
+                self.ledger.release(&stored.tenant);
+                return Err(ReadmitError::Invalid(id, err.to_string()));
+            }
+        };
         let (sink, events) = if stored.record_events || stored.record_spans {
             // A fresh buffer: the recovered stream opens with
             // `SessionResumed` and carries exactly the uninterrupted
@@ -565,24 +600,16 @@ impl CrawlService {
         } else {
             (SinkHandle::none(), None)
         };
-        // The replay runs here, on the recovering thread; DESIGN.md §15
-        // weighs this against replaying in each session's first slice.
-        let session = match Session::restore(model, crawler, checkpoint, sink) {
-            Ok(session) => session,
-            Err(err) => {
-                self.ledger.release(&stored.tenant);
-                return Err(ReadmitError::Invalid(id, err.to_string()));
-            }
-        };
         self.pending.push(SessionTask {
             id,
             tenant: stored.tenant,
-            last_ckpt_steps: session.steps_taken(),
             session,
             events,
             record_events: stored.record_events,
             record_spans: stored.record_spans,
             slices: 0,
+            last_ckpt_steps: 0,
+            replay: Some(Box::new(Replay { checkpoint: stored.checkpoint, sink })),
         });
         Ok(id)
     }
@@ -596,13 +623,18 @@ enum ReadmitError {
     Invalid(SessionId, String),
 }
 
-/// What [`CrawlService::recover`] found on disk.
+/// What [`CrawlService::recover`] found on disk. A replay that fails its
+/// checks is found later, by the drain that runs it: see
+/// [`CrawlService::last_quarantined`].
 #[derive(Debug, Default)]
 pub struct RecoveryReport {
-    /// Sessions restored and re-admitted.
+    /// Sessions re-admitted, each to replay on the workers. The
+    /// `mak_serve_checkpoint_restores_total` counter moves later, once
+    /// per replay that passes its checks.
     pub restored: u64,
-    /// Files quarantined (CRC/header/payload corruption, or verified
-    /// checkpoints that no longer rebuild).
+    /// Files quarantined by `recover()` itself (CRC/header/payload
+    /// corruption, or verified checkpoints whose spec no longer opens a
+    /// session).
     pub corrupt_quarantined: u64,
     /// `(file or session, reason)` per quarantined entry.
     pub quarantined: Vec<(String, String)>,

@@ -403,7 +403,9 @@ fn rewrite_checkpoint(path: &Path, edit: &dyn Fn(&mut serde::Value)) {
 /// Hostile checkpoints that pass the CRC: each case changes one field of
 /// one parked file. The file is quarantined with a reason naming that
 /// field, `recover()` returns, and every untouched neighbour finishes
-/// bit-identically to never having stopped.
+/// bit-identically to never having stopped. A lie about the spec is found
+/// by `recover()` itself; a lie about where the steps lead is found by
+/// the replay, which runs on the workers, so it is read after the drain.
 #[test]
 fn checkpoints_that_lie_are_quarantined_by_the_replay() {
     let specs = workload("none");
@@ -428,10 +430,12 @@ fn checkpoints_that_lie_are_quarantined_by_the_replay() {
     let set = |path: &'static [&'static str], to: serde::Value| -> Edit {
         Box::new(move |v: &mut serde::Value| *field_mut(v, path) = to.clone())
     };
-    let cases: Vec<(&str, &str, Edit)> = vec![
+    // (case, field the reason names, found by the replay, edit)
+    let cases: Vec<(&str, &str, bool, Edit)> = vec![
         (
             "interactions + 1",
             "interactions",
+            true,
             Box::new(|v: &mut serde::Value| {
                 let field = field_mut(v, &["checkpoint", "progress", "interactions"]);
                 let serde::Value::UInt(n) = *field else { panic!("{field:?}") };
@@ -441,40 +445,55 @@ fn checkpoints_that_lie_are_quarantined_by_the_replay() {
         (
             "elapsed_ms moved to the next float",
             "elapsed_ms",
+            true,
             Box::new(|v: &mut serde::Value| {
                 let field = field_mut(v, &["checkpoint", "progress", "elapsed_ms"]);
                 let serde::Value::Float(t) = *field else { panic!("{field:?}") };
                 *field = serde::Value::Float(f64::from_bits(t.to_bits() + 1));
             }),
         ),
-        ("steps one past the end", "steps", set(&["checkpoint", "steps"], uint(total_steps + 1))),
-        ("steps = u64::MAX", "steps", set(&["checkpoint", "steps"], uint(u64::MAX))),
-        ("unknown app", "app", set(&["checkpoint", "app"], serde::Value::Str("geocities".into()))),
+        (
+            "steps one past the end",
+            "steps",
+            true,
+            set(&["checkpoint", "steps"], uint(total_steps + 1)),
+        ),
+        ("steps = u64::MAX", "steps", true, set(&["checkpoint", "steps"], uint(u64::MAX))),
+        (
+            "unknown app",
+            "app",
+            false,
+            set(&["checkpoint", "app"], serde::Value::Str("geocities".into())),
+        ),
         (
             "unknown crawler",
             "crawler",
+            false,
             set(&["checkpoint", "crawler"], serde::Value::Str("googlebot".into())),
         ),
         (
             "budget 0",
             "budget_minutes",
+            false,
             set(&["checkpoint", "config", "budget_minutes"], float(0.0)),
         ),
         (
             "budget NaN",
             "budget_minutes",
+            false,
             set(&["checkpoint", "config", "budget_minutes"], float(f64::NAN)),
         ),
         (
             "sample interval 0",
             "sample_interval_secs",
+            false,
             set(&["checkpoint", "config", "sample_interval_secs"], float(0.0)),
         ),
-        ("version 1", "version", set(&["checkpoint", "version"], uint(1))),
-        ("done mid-run", "done", set(&["checkpoint", "done"], serde::Value::Bool(true))),
+        ("version 1", "version", false, set(&["checkpoint", "version"], uint(1))),
+        ("done mid-run", "done", true, set(&["checkpoint", "done"], serde::Value::Bool(true))),
     ];
 
-    for (i, (case, field, edit)) in cases.iter().enumerate() {
+    for (i, (case, field, by_replay, edit)) in cases.iter().enumerate() {
         let dir = tmpdir(&format!("lies-{i}"));
         let store = mak_serve::CheckpointStore::open(&dir).unwrap();
         for (name, bytes) in &originals {
@@ -484,16 +503,35 @@ fn checkpoints_that_lie_are_quarantined_by_the_replay() {
 
         let mut revived = CrawlService::new(durable_config(&dir, ScheduleOrder::RoundRobin));
         let recovery = revived.recover().unwrap();
-        assert_eq!(recovery.corrupt_quarantined, 1, "{case}: {recovery:?}");
-        let (_, reason) = &recovery.quarantined[0];
-        assert!(reason.contains(field), "{case}: the reason must name `{field}`: {reason}");
-        assert_eq!(recovery.restored as usize, originals.len() - 1, "{case}");
-        assert_eq!(
-            fs::read_dir(dir.join("quarantine")).unwrap().count(),
-            1,
-            "{case}: the lying file is kept as evidence"
-        );
-        let late = revived.run_to_drain();
+        let late = if *by_replay {
+            // `recover()` admits the lying file; the drain's replay finds it.
+            assert_eq!(recovery.restored as usize, originals.len(), "{case}: {recovery:?}");
+            let late = revived.run_to_drain();
+            let quarantined = revived.last_quarantined();
+            assert_eq!(quarantined.len(), 1, "{case}: {quarantined:?}");
+            let (_, reason) = &quarantined[0];
+            assert!(reason.contains(field), "{case}: the reason must name `{field}`: {reason}");
+            assert_eq!(
+                fs::read_dir(dir.join("quarantine")).unwrap().count(),
+                1,
+                "{case}: the lying file is kept as evidence"
+            );
+            late
+        } else {
+            assert_eq!(recovery.corrupt_quarantined, 1, "{case}: {recovery:?}");
+            let (_, reason) = &recovery.quarantined[0];
+            assert!(reason.contains(field), "{case}: the reason must name `{field}`: {reason}");
+            assert_eq!(recovery.restored as usize, originals.len() - 1, "{case}");
+            assert_eq!(
+                fs::read_dir(dir.join("quarantine")).unwrap().count(),
+                1,
+                "{case}: the lying file is kept as evidence"
+            );
+            revived.run_to_drain()
+        };
+        let corrupt =
+            revived.metrics().registry().counter_value("mak_serve_checkpoint_corrupt_total", &[]);
+        assert_eq!(corrupt, 1.0, "{case}");
         assert_eq!(early.len() + late.len() + 1, truth.len(), "{case}");
         for c in &late {
             let (report, events, _) = &truth[&c.id];
@@ -529,5 +567,186 @@ fn reparking_a_recovered_service_rewrites_identical_checkpoints() {
     for ((path, old), (_, new)) in before.iter().zip(&after) {
         assert!(old == new, "{} changed when re-parked", path.display());
     }
+    fs::remove_dir_all(&dir).unwrap();
+}
+
+/// The session id in a checkpoint file's name.
+fn id_of(path: &Path) -> u64 {
+    let name = path.file_name().unwrap().to_string_lossy();
+    name.trim_start_matches("session-").trim_end_matches(".ckpt").parse().unwrap()
+}
+
+/// The step count a checkpoint file records.
+fn recorded_steps(raw: &[u8]) -> u64 {
+    let newline = raw.iter().position(|&b| b == b'\n').unwrap();
+    let mut payload: serde::Value =
+        serde_json::from_str(std::str::from_utf8(&raw[newline + 1..]).unwrap()).unwrap();
+    match field_mut(&mut payload, &["checkpoint", "steps"]) {
+        serde::Value::UInt(n) => *n,
+        other => panic!("steps: {other:?}"),
+    }
+}
+
+/// A checkpoint with a valid header and CRC, a budget of 1e9 virtual
+/// minutes and a step count of `u64::MAX` costs only its own slices, as
+/// a submission with that budget would. At one worker in round-robin
+/// order, `recover()` returns, and within twice the neighbours' own step
+/// total every neighbour finishes bit-identically while the hostile
+/// session is still replaying; parked again, its file is unchanged.
+#[test]
+fn a_hostile_checkpoint_costs_only_its_own_slices() {
+    let specs = workload("none");
+    let truth = truth_of(&specs);
+    let dir = tmpdir("hostile");
+    let early = park(&dir, &specs, 100);
+    let files = parked_files(&dir);
+    assert!(files.len() >= 2, "the hostile file needs a neighbour");
+    // MAK never runs out of things to try, so its replay runs until the
+    // budget ends rather than stopping at a stuck crawler.
+    let victim = files
+        .iter()
+        .find(|p| specs[id_of(p) as usize].crawler == "mak")
+        .expect("the MAK session is parked")
+        .clone();
+    rewrite_checkpoint(&victim, &|v: &mut serde::Value| {
+        *field_mut(v, &["checkpoint", "config", "budget_minutes"]) = serde::Value::Float(1e9);
+        *field_mut(v, &["checkpoint", "steps"]) = serde::Value::UInt(u64::MAX);
+    });
+    let hostile = fs::read(&victim).unwrap();
+    let neighbours: u64 = files.iter().filter(|p| **p != victim).map(|p| truth[&id_of(p)].2).sum();
+
+    let config = ServiceConfig { threads: 1, ..durable_config(&dir, ScheduleOrder::RoundRobin) };
+    let mut revived = CrawlService::new(config);
+    let recovery = revived.recover().unwrap();
+    assert_eq!(recovery.restored as usize, files.len(), "{recovery:?}");
+    let late = revived.run_for_steps(2 * neighbours);
+    assert_eq!(late.len(), files.len() - 1, "every neighbour completes");
+    assert_eq!(early.len() + late.len() + 1, truth.len());
+    for c in &late {
+        let (report, events, _) = &truth[&c.id];
+        assert_eq!(&c.report, report, "neighbour {} diverged", c.id);
+        assert_resumed_stream(c.events_jsonl.as_deref().unwrap(), events, "hostile neighbour");
+    }
+    assert_eq!(revived.in_flight(), 1, "the hostile session is still replaying");
+    assert!(revived.last_quarantined().is_empty(), "{:?}", revived.last_quarantined());
+    assert_eq!(revived.drain().unwrap(), 1);
+    assert!(fs::read(&victim).unwrap() == hostile, "the hostile file was re-parked changed");
+    fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A crash while recovered sessions replay. For each crash point k
+/// through the replay window (until every replay has passed its checks),
+/// recover, run k steps at one worker, drop the service, recover again
+/// and drain: no session is lost or runs twice, every report is
+/// byte-identical, and nothing was written for a session mid-replay —
+/// each file left on disk is the parked one, byte for byte, or was
+/// written after its session passed its checks, so it records more steps
+/// than the parked one.
+#[test]
+fn crash_mid_replay_loses_nothing_and_writes_nothing_unverified() {
+    let specs = workload("heavy");
+    let truth = truth_of(&specs);
+    let setup = tmpdir("mid-replay-setup");
+    let early = park(&setup, &specs, 150);
+    let parked: BTreeMap<u64, Vec<u8>> =
+        parked_files(&setup).iter().map(|p| (id_of(p), fs::read(p).unwrap())).collect();
+    fs::remove_dir_all(&setup).unwrap();
+    assert!(parked.values().any(|raw| recorded_steps(raw) > 0), "some replay must take steps");
+    let config =
+        |dir: &Path| ServiceConfig { threads: 1, ..durable_config(dir, ScheduleOrder::RoundRobin) };
+    let restores = |service: &CrawlService| {
+        service.metrics().registry().counter_value("mak_serve_checkpoint_restores_total", &[])
+    };
+
+    let mut crash_at = 0;
+    loop {
+        let context = format!("crash at step {crash_at}");
+        let dir = tmpdir(&format!("mid-replay-{crash_at}"));
+        let store = mak_serve::CheckpointStore::open(&dir).unwrap();
+        for (&id, raw) in &parked {
+            fs::write(store.path_for(id), raw).unwrap();
+        }
+        let mut first = CrawlService::new(config(&dir));
+        let recovery = first.recover().unwrap();
+        assert_eq!(recovery.restored as usize, parked.len(), "{context}");
+        let before = first.run_for_steps(crash_at);
+        assert!(first.last_quarantined().is_empty(), "{context}");
+        let passed = restores(&first);
+        drop(first);
+
+        let mut rewritten = 0;
+        for (&id, raw) in &parked {
+            match fs::read(store.path_for(id)) {
+                Err(_) => assert!(
+                    before.iter().any(|c| c.id == id),
+                    "{context}: session {id} lost its file without completing"
+                ),
+                Ok(now) if now == *raw => {}
+                Ok(now) => {
+                    rewritten += 1;
+                    assert!(
+                        recorded_steps(&now) > recorded_steps(raw),
+                        "{context}: session {id}'s file was rewritten mid-replay"
+                    );
+                }
+            }
+        }
+        assert!(rewritten as f64 <= passed, "{context}: {rewritten} files, {passed} replays");
+
+        let mut second = CrawlService::new(config(&dir));
+        let again = second.recover().unwrap();
+        assert_eq!(again.corrupt_quarantined, 0, "{context}: {again:?}");
+        let after = second.run_to_drain();
+        assert!(second.last_quarantined().is_empty(), "{context}");
+        let mut ids: Vec<u64> = early.iter().chain(&before).chain(&after).map(|c| c.id).collect();
+        ids.sort_unstable();
+        let all: Vec<u64> = truth.keys().copied().collect();
+        assert_eq!(ids, all, "{context}: a session was lost or ran twice");
+        for c in before.iter().chain(&after) {
+            let (report, events, _) = &truth[&c.id];
+            assert_eq!(&c.report, report, "{context}: session {} diverged", c.id);
+            let recovered = c.events_jsonl.as_deref().unwrap();
+            assert_resumed_stream(recovered, events, &format!("{context} id={}", c.id));
+        }
+        fs::remove_dir_all(&dir).unwrap();
+        if passed as usize == parked.len() {
+            break;
+        }
+        crash_at += 1;
+    }
+}
+
+/// Replayed steps are not drained steps. After `recover()` and
+/// `run_to_drain()`, the latency samples cover exactly the steps each
+/// session took past its parked checkpoint; after a drain of fresh
+/// submissions they cover every step.
+#[test]
+fn latency_samples_cover_drained_steps_only() {
+    let specs = workload("none");
+    let dir = tmpdir("accounting");
+    park(&dir, &specs, 100);
+    let parked: BTreeMap<u64, u64> = parked_files(&dir)
+        .iter()
+        .map(|p| (id_of(p), recorded_steps(&fs::read(p).unwrap())))
+        .collect();
+    assert!(parked.values().any(|&steps| steps > 0), "some replay must take steps");
+
+    let config =
+        ServiceConfig { sample_latency: true, ..durable_config(&dir, ScheduleOrder::RoundRobin) };
+    let mut revived = CrawlService::new(config);
+    revived.recover().unwrap();
+    let late = revived.run_to_drain();
+    assert_eq!(late.len(), parked.len());
+    let drained: u64 = late.iter().map(|c| c.steps - parked[&c.id]).sum();
+    assert_eq!(revived.last_latencies().total_steps(), drained);
+
+    let mut fresh =
+        CrawlService::new(ServiceConfig { sample_latency: true, ..ServiceConfig::default() });
+    for spec in specs {
+        fresh.submit(spec).unwrap();
+    }
+    let done = fresh.run_to_drain();
+    let steps: u64 = done.iter().map(|c| c.steps).sum();
+    assert_eq!(fresh.last_latencies().total_steps(), steps);
     fs::remove_dir_all(&dir).unwrap();
 }

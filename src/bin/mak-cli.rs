@@ -57,8 +57,10 @@
 //!   --resume            `serve` only: instead of submitting fresh sessions,
 //!                       recover every parked/crashed session found under
 //!                       --checkpoint-dir and run it to completion; each
-//!                       recovered session finishes bit-identical to an
-//!                       uninterrupted run
+//!                       recovered session replays its recorded steps on
+//!                       the workers and finishes bit-identical to an
+//!                       uninterrupted run; a file that fails its checks
+//!                       is quarantined and named on stderr
 //!
 //! `crawl` and `compare` consult the run cache under `results/cache/`
 //! (`MAK_CACHE=off|rw|ro` to control, `MAK_CACHE_DIR` to relocate).
@@ -832,6 +834,11 @@ fn cmd_serve(app: &str, opts: &Options) -> ExitCode {
     let started = std::time::Instant::now();
     let done = service.run_to_drain();
     let wall = started.elapsed().as_secs_f64();
+    // Replays run on the workers, so a checkpoint whose replay fails its
+    // checks is found during the drain.
+    for (session, reason) in service.last_quarantined() {
+        eprintln!("quarantined {session}: {reason}");
+    }
 
     println!(
         "{:>8}  {:>6}  {:>12}  {:>6}  {:>8}",
@@ -868,7 +875,9 @@ fn cmd_serve(app: &str, opts: &Options) -> ExitCode {
         }
         println!("[wrote {path} and {json_path}]");
     }
-    if service.aborted() > 0 {
+    // As when `recover()` quarantines every file: a resume that brought
+    // no session back fails.
+    if service.aborted() > 0 || (done.is_empty() && !service.last_quarantined().is_empty()) {
         ExitCode::FAILURE
     } else {
         ExitCode::SUCCESS

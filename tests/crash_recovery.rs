@@ -41,18 +41,43 @@ fn session_rows(stdout: &str) -> BTreeMap<u64, String> {
     rows
 }
 
+/// The live checkpoint files in `dir` (temp files of in-flight writes
+/// excluded).
+fn checkpoint_files(dir: &Path) -> Vec<PathBuf> {
+    let Ok(entries) = std::fs::read_dir(dir) else { return Vec::new() };
+    entries
+        .flatten()
+        .filter(|e| {
+            e.path().extension().is_some_and(|x| x == "ckpt")
+                && !e.file_name().to_string_lossy().starts_with('.')
+        })
+        .map(|e| e.path())
+        .collect()
+}
+
 fn any_checkpoint_on_disk(dir: &Path) -> bool {
-    let Ok(entries) = std::fs::read_dir(dir) else { return false };
-    entries.flatten().any(|e| {
-        e.path().extension().is_some_and(|x| x == "ckpt")
-            && !e.file_name().to_string_lossy().starts_with('.')
+    !checkpoint_files(dir).is_empty()
+}
+
+/// Whether some checkpoint records a session past step 0, i.e. one
+/// written mid-run rather than at admission. Read-only: a file is never
+/// moved, and one that vanishes between listing and reading is skipped.
+fn any_mid_run_checkpoint(dir: &Path) -> bool {
+    checkpoint_files(dir).iter().any(|path| {
+        let Ok(raw) = std::fs::read(path) else { return false };
+        let text = String::from_utf8_lossy(&raw);
+        text.find("\"steps\":").is_some_and(|at| {
+            let digits: String =
+                text[at + 8..].chars().take_while(|c| c.is_ascii_digit()).collect();
+            digits.parse::<u64>().is_ok_and(|steps| steps > 0)
+        })
     })
 }
 
 #[test]
 fn sigkilled_serve_resumes_bit_identically() {
     let dir = tmp_ckpt_dir("sigkill");
-    // Enough work that the child cannot finish before we see a
+    // Enough work that the child cannot finish before we see a mid-run
     // checkpoint land: 16 sessions × ~900 virtual steps each, with a
     // checkpoint every 4 steps past each 64-step slice.
     let workload =
@@ -68,8 +93,9 @@ fn sigkilled_serve_resumes_bit_identically() {
     let truth = session_rows(&String::from_utf8_lossy(&truth_out.stdout));
     assert_eq!(truth.len(), 16, "expected one row per seed");
 
-    // Crash run: same workload with checkpoints on; SIGKILL the child
-    // the moment the first checkpoint file is visible on disk.
+    // Crash run: same workload with checkpoints on; SIGKILL the child the
+    // moment some checkpoint records a session past step 0, so the resume
+    // replays a real prefix (an admission checkpoint replays nothing).
     let mut child = Command::new(CLI)
         .args(workload)
         .args(["--checkpoint-dir", dir.to_str().unwrap(), "--checkpoint-every", "4"])
@@ -81,7 +107,7 @@ fn sigkilled_serve_resumes_bit_identically() {
     let deadline = Instant::now() + Duration::from_secs(120);
     let mut saw_checkpoint = false;
     while Instant::now() < deadline {
-        if any_checkpoint_on_disk(&dir) {
+        if any_mid_run_checkpoint(&dir) {
             saw_checkpoint = true;
             break;
         }
@@ -93,8 +119,8 @@ fn sigkilled_serve_resumes_bit_identically() {
     child.kill().expect("SIGKILL the serve child");
     child.wait().expect("reap the serve child");
     assert!(
-        saw_checkpoint || any_checkpoint_on_disk(&dir),
-        "the child finished before any checkpoint was written — workload too small"
+        saw_checkpoint && any_mid_run_checkpoint(&dir),
+        "no mid-run checkpoint survived the kill — workload too small"
     );
 
     // Recovery: a fresh process picks up whatever survived the kill.
